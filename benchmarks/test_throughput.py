@@ -241,63 +241,3 @@ def test_lineage_warm_reanalysis(benchmark, tmp_path, monkeypatch):
             cold_full, incremental
         ),
     )
-
-
-def test_store_warm_open_at_10k_records(benchmark, tmp_path):
-    """Acceptance check for the sqlite sidecar: a warm ``VerdictStore``
-    open on a >=10k-record file does **zero** full JSONL scans, and point
-    lookups probe the index instead of replaying the log.
-
-    One writer publishes 12k records (6k digests x detection+privacy) and
-    closes, which advances the sidecar watermark through EOF.  The benched
-    stage is the whole warm cycle -- open, two point lookups, close -- and
-    the counters must show no scan from offset zero and no index misses.
-    """
-    from repro.static_analysis.malware.droidnative import Detection
-    from repro.store.verdicts import VerdictStore, sqlite_available
-
-    if not sqlite_available():
-        pytest.skip("sqlite3 unavailable in this interpreter")
-
-    config = DyDroidConfig(train_samples_per_family=2, run_replays=False)
-    path = str(tmp_path / "verdicts.jsonl")
-    detection = Detection(
-        family="DroidKungFu",
-        score=0.91,
-        matched_sample_id="DroidKungFu-001",
-        matched_functions=7,
-        total_functions=9,
-    )
-    n_digests = 6000
-    writer = VerdictStore(path, config)
-    try:
-        for i in range(n_digests):
-            digest = "sha256-{:05d}".format(i)
-            writer.put_detection(digest, detection if i % 3 == 0 else None)
-            writer.put_privacy(digest, ())
-    finally:
-        writer.close()
-
-    def warm_cycle():
-        store = VerdictStore(path, config)
-        try:
-            known, found = store.get_detection("sha256-00000")
-            assert known and found is not None
-            known, leaks = store.get_privacy("sha256-{:05d}".format(n_digests - 1))
-            assert known and leaks == ()
-            return store.index_stats()
-        finally:
-            store.close()
-
-    stats = benchmark(warm_cycle)
-    assert stats["enabled"]
-    assert stats["full_scans"] == 0, stats
-    assert stats["index_misses"] == 0, stats
-    assert stats["index_hits"] == 2, stats
-    record_table(
-        "Store",
-        "warm open over {} records: {:.1f}ms/cycle, 0 full scans "
-        "(sidecar watermark at EOF; 2/2 point lookups via index)".format(
-            2 * n_digests, benchmark.stats.stats.mean * 1e3
-        ),
-    )

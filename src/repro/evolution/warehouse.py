@@ -1,73 +1,30 @@
 """The snapshot warehouse: per-version analyses, durable and diffable.
 
 An evolution run produces one :class:`~repro.core.report.AppAnalysis` per
-``(package, version_code)``; the warehouse is their append-only home,
-borrowing the concurrency discipline of :mod:`repro.store.verdicts`:
-
-- appends take an exclusive ``fcntl.flock`` around one buffered
-  write+flush of a complete line (``O_APPEND``, so lines land atomically);
-- a crash-torn final line is sealed with a newline on open (under the
-  exclusive lock, a missing final newline can only be crash debris) and
-  then skipped as an ordinary corrupt line;
-- reads happen under a shared lock and only through the last complete
-  newline.
-
-File layout (one JSON document per line)::
+``(package, version_code)``; the warehouse is their append-only home, a
+shared :class:`~repro.store.log.AppendLog` keyed by
+``"<package>@<version_code>"``::
 
     {"kind": "header", "version": 1, "serialization": 1}
     {"kind": "snapshot", "package": "...", "version_code": 7, "analysis": {...}}
-    {"kind": "index", "entries": {"<package>@<version_code>": <byte offset>, ...}}
 
-The trailing ``index`` line is the in-file index: :meth:`seal` (also run
-by ``close``) appends one mapping every snapshot key to the byte offset
-of its line.  A reader whose *last complete line* is an index trusts it
-and skips the full scan; any append after that invalidates the fast path
-simply by no longer being the last line, in which case opening falls back
-to a full scan (stale interior index lines are ignored).  Either way the
-in-memory index holds offsets only -- ``get`` seeks and parses a single
-line, so opening a multi-gigabyte warehouse never materializes every
-snapshot.
-
-The warehouse also keeps the same sqlite sidecar the verdict store uses
-(:mod:`repro.store.index`, ``<warehouse>.idx``), which covers exactly the
-case the trailing index cannot: a writer that died *without* sealing.
-The sidecar's watermark advances with every append, so reopening a
-crashed warehouse scans only the unindexed tail instead of the whole
-file -- and when the watermark reaches EOF the open reads nothing but the
-header line.  The sidecar is derived data; losing or corrupting it costs
-one full scan (the trailing-index path remains the portable, sqlite-free
-fallback).
-
-Both indexes, and :func:`compact_warehouse`, keep the first-wins rule:
-snapshots are immutable, appending a key that already exists is a no-op,
-which makes warm re-runs idempotent -- the file, and therefore ``repro
-evolve diff`` output, is byte-stable across repeats.  Compaction is the
-GC for what append-only leaves behind (duplicate snapshots, stale
-interior index lines, corrupt debris); like the verdict store's it
-rewrites in place under the exclusive lock and is offline-only.
+Snapshots are immutable: appending a key that already exists is a no-op
+(first write wins), which makes warm re-runs idempotent -- the file, and
+therefore ``repro evolve diff`` output, is byte-stable across repeats.
+Memory holds keys only; ``get`` reads one line.  Warehouses written
+before the sqlite sidecar took over may still carry ``{"kind": "index"}``
+lines (a former in-file index); reads skip them and ``repro store
+compact`` drops them.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.report import SERIALIZATION_VERSION, AppAnalysis
-from repro.store.index import (
-    SQLITE_ERRORS,
-    StoreIndex,
-    index_path,
-    sqlite_available,
-)
-
-try:  # POSIX only; elsewhere the warehouse degrades to thread-safety.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
+from repro.store.log import AppendLog, Key, LogBacked
 
 __all__ = [
     "WAREHOUSE_VERSION",
@@ -79,303 +36,52 @@ __all__ = [
 WAREHOUSE_VERSION = 1
 
 
-def _warehouse_fingerprint() -> str:
-    """What the sidecar must have been built against to be trusted."""
-    return "warehouse:v{}:s{}".format(WAREHOUSE_VERSION, SERIALIZATION_VERSION)
-
-
 class WarehouseError(ValueError):
     """The warehouse file is unusable or from an incompatible writer."""
 
 
-@contextmanager
-def _file_lock(handle, exclusive: bool) -> Iterator[None]:
-    """Advisory whole-file lock; a no-op where ``fcntl`` is unavailable."""
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        yield
-        return
-    fcntl.flock(handle.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-    try:
-        yield
-    finally:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-
-def _key(package: str, version_code: int) -> str:
+def _snapshot_key(package: str, version_code: int) -> str:
     return "{}@{}".format(package, version_code)
 
 
-class SnapshotWarehouse:
+def _key(entry: Dict[str, object]) -> Optional[Key]:
+    if entry.get("kind") == "snapshot" and "package" in entry and "version_code" in entry:
+        return "snapshot", _snapshot_key(entry["package"], entry["version_code"])
+    return None
+
+
+def _check_header(path: Path, entry: Optional[Dict[str, object]]) -> None:
+    if entry is None or entry.get("kind") != "header":
+        raise WarehouseError("{}: no warehouse header found".format(path))
+    if entry.get("version") != WAREHOUSE_VERSION:
+        raise WarehouseError(
+            "{}: unsupported warehouse version {}".format(path, entry.get("version"))
+        )
+    if entry.get("serialization") != SERIALIZATION_VERSION:
+        raise WarehouseError(
+            "{}: snapshots use report serialization {}, this build "
+            "reads {}".format(path, entry.get("serialization"), SERIALIZATION_VERSION)
+        )
+
+
+class SnapshotWarehouse(LogBacked):
     """Append-only store of per-version analyses keyed by (package, version)."""
 
-    def __init__(self, path: Union[str, Path], index: bool = True) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        #: key -> byte offset of the snapshot line.
-        self._index: Dict[str, int] = {}
-        self._header_checked = False
-        self.corrupt_lines = 0
-        #: True when the last open used the trailing index line instead of
-        #: a full scan (exposed for tests and ``evolve report`` curiosity).
-        self.fast_opened = False
-        #: True when the last open came from the sqlite sidecar (possibly
-        #: plus a tail scan) instead of reading the whole file.
-        self.sidecar_opened = False
-        #: how many times an open fell all the way back to scanning every
-        #: line of the log; warm opens (sidecar or trailing index intact)
-        #: must keep this at zero -- the regression tests assert on it.
-        self.full_scans = 0
-        self._sealed = False
-        self._sidecar: Optional[StoreIndex] = None
-        self._want_sidecar = bool(index) and sqlite_available()
-        #: file size as of our last write/scan; lets ``seal`` notice (and
-        #: fold in) snapshots a sibling writer appended meanwhile, so the
-        #: trailing index never drops someone else's data.
-        self._end = 0
-        self._mutex = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a+b")
-        with self._mutex:
-            with _file_lock(self._handle, exclusive=True):
-                self._handle.seek(0, os.SEEK_END)
-                size = self._handle.tell()
-                if size == 0:
-                    self._write_line(
-                        {
-                            "kind": "header",
-                            "version": WAREHOUSE_VERSION,
-                            "serialization": SERIALIZATION_VERSION,
-                        }
-                    )
-                    self._header_checked = True
-                    self._open_sidecar(self._end)
-                    self._advance_sidecar([], self._end)
-                    return
-                self._seal_torn_tail(size)
-                self._open_sidecar(size)
-                self._load(size)
-                self._end = size
-        if not self._header_checked:
-            raise WarehouseError("{}: no warehouse header found".format(self.path))
-
-    # -- open-time scanning ------------------------------------------------------
-
-    def _seal_torn_tail(self, size: int) -> None:
-        """Terminate a crash-torn final line (exclusive lock held)."""
-        self._handle.seek(size - 1)
-        if self._handle.read(1) != b"\n":
-            self._handle.write(b"\n")
-            self._handle.flush()
-
-    def _load(self, size: int) -> None:
-        """Build the key->offset index.
-
-        Fastest first: the sqlite sidecar (reads only the header line plus
-        the tail past its watermark -- the only path that stays cheap after
-        an *unsealed* crash), then the trailing in-file index (reads the
-        whole file but parses two lines), then the full scan, which seeds
-        the sidecar for the next open.
-        """
-        if self._load_from_sidecar(size):
-            return
-        self._handle.seek(0)
-        data = self._handle.read(size)
-        cut = data.rfind(b"\n")
-        if cut < 0:
-            raise WarehouseError("{}: unreadable warehouse".format(self.path))
-        last_start = data.rfind(b"\n", 0, cut) + 1
-        last_line = data[last_start : cut + 1]
-        entry = self._parse(last_line)
-        if entry and entry.get("kind") == "index" and isinstance(entry.get("entries"), dict):
-            # Fast path: the writer sealed after its last append, so the
-            # trailing index is complete.  The header still gets checked.
-            first = self._parse(data[: data.find(b"\n") + 1])
-            if first:
-                self._dispatch_header(first)
-            self._index = {str(k): int(v) for k, v in entry["entries"].items()}
-            self.fast_opened = True
-            # The trailing index already covers everything: read-only opens
-            # must not grow the file with another identical index on close.
-            self._sealed = True
-            self._rebuild_sidecar(size)
-            return
-        self.full_scans += 1
-        rows = self._scan_range(data, 0)
-        if self._sidecar is not None:
-            self._advance_sidecar(rows, size)
-
-    def _scan_range(self, data: bytes, base: int) -> List[Tuple[str, str, int]]:
-        """Fold complete lines of ``data`` (file offset ``base``) into the
-        in-memory index; returns the sidecar rows for first-win inserts."""
-        rows: List[Tuple[str, str, int]] = []
-        offset = base
-        for raw in data.splitlines(keepends=True):
-            # A final line without its newline was sealed by open (the
-            # newline sits just past ``data``); parse it like any other.
-            entry = self._parse(raw)
-            if entry is None:
-                self.corrupt_lines += 1
-            else:
-                kind = entry.get("kind")
-                if kind == "header":
-                    self._dispatch_header(entry)
-                elif (
-                    kind == "snapshot"
-                    and "package" in entry
-                    and "version_code" in entry
-                ):
-                    key = _key(entry["package"], entry["version_code"])
-                    # first write wins: duplicates are later, identical noise
-                    if key not in self._index:
-                        self._index[key] = offset
-                        rows.append(("snapshot", key, offset))
-                elif kind == "index":
-                    pass  # stale interior index from an earlier seal
-                else:
-                    self.corrupt_lines += 1
-            offset += len(raw)
-        return rows
-
-    # -- the sqlite sidecar ------------------------------------------------------
-
-    def _open_sidecar(self, size: int) -> None:
-        if not self._want_sidecar:
-            return
-        try:
-            self._sidecar = StoreIndex(
-                index_path(self.path), _warehouse_fingerprint(), size
-            )
-        except SQLITE_ERRORS:
-            self._sidecar = None
-
-    def _load_from_sidecar(self, size: int) -> bool:
-        """Open from the sidecar watermark; False falls back to file paths."""
-        if self._sidecar is None:
-            return False
-        try:
-            watermark = self._sidecar.watermark()
-            if watermark <= 0:
-                return False
-            entries = self._sidecar.entries("snapshot")
-        except SQLITE_ERRORS:
-            self._drop_sidecar()
-            return False
-        # The header still gets checked -- the sidecar fingerprint pins the
-        # format versions, but not that this file is a warehouse at all.
-        self._handle.seek(0)
-        first = self._parse(self._handle.readline())
-        if not first:
-            return False
-        self._dispatch_header(first)
-        self._index = {key: offset for key, offset in entries}
-        if watermark < size:
-            self._handle.seek(watermark)
-            rows = self._scan_range(self._handle.read(size - watermark), watermark)
-            self._advance_sidecar(rows, size)
-        else:
-            # Watermark at EOF: nothing but the header line was read.  Do
-            # not grow the file with a trailing index on a read-only cycle.
-            self.fast_opened = True
-            self._sealed = True
-        self.sidecar_opened = True
-        return True
-
-    def _rebuild_sidecar(self, watermark: int) -> None:
-        if self._sidecar is None:
-            return
-        try:
-            self._sidecar.rebuild(
-                [("snapshot", key, offset) for key, offset in self._index.items()],
-                watermark,
-            )
-        except SQLITE_ERRORS:
-            self._drop_sidecar()
-
-    def _advance_sidecar(self, rows, watermark: int) -> None:
-        if self._sidecar is None:
-            return
-        try:
-            self._sidecar.advance(rows, watermark)
-        except SQLITE_ERRORS:
-            self._drop_sidecar()
-
-    def _drop_sidecar(self) -> None:
-        """Sqlite failed: run without the sidecar (it is only a cache)."""
-        if self._sidecar is not None:
-            try:
-                self._sidecar.close()
-            except SQLITE_ERRORS:  # pragma: no cover - close rarely fails
-                pass
-            self._sidecar = None
-
-    def _parse(self, raw: bytes) -> Optional[Dict[str, object]]:
-        try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError:
-            return None
-        return entry if isinstance(entry, dict) else None
-
-    def _dispatch_header(self, entry: Dict[str, object]) -> None:
-        if entry.get("kind") != "header":
-            raise WarehouseError("{}: first line is not a header".format(self.path))
-        if entry.get("version") != WAREHOUSE_VERSION:
-            raise WarehouseError(
-                "{}: unsupported warehouse version {}".format(
-                    self.path, entry.get("version")
-                )
-            )
-        if entry.get("serialization") != SERIALIZATION_VERSION:
-            raise WarehouseError(
-                "{}: snapshots use report serialization {}, this build "
-                "reads {}".format(
-                    self.path, entry.get("serialization"), SERIALIZATION_VERSION
-                )
-            )
-        self._header_checked = True
-
-    # -- appends -----------------------------------------------------------------
-
-    def _write_line(self, entry: Dict[str, object]) -> int:
-        """Write one line at EOF; returns the offset it landed at."""
-        self._handle.seek(0, os.SEEK_END)
-        offset = self._handle.tell()
-        self._handle.write(json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n")
-        self._handle.flush()
-        self._end = self._handle.tell()
-        return offset
-
-    def _fold_tail(self) -> None:
-        """Index snapshots a sibling appended past our horizon (lock held)."""
-        self._handle.seek(0, os.SEEK_END)
-        size = self._handle.tell()
-        if size <= self._end:
-            return
-        self._handle.seek(self._end)
-        data = self._handle.read(size - self._end)
-        torn = not data.endswith(b"\n")
-        if torn:
-            # Exclusive lock held: a missing final newline is crash debris
-            # from a dead sibling.  Seal it so whatever we write next
-            # cannot concatenate onto it.
-            self._handle.write(b"\n")
-            self._handle.flush()
-        offset = self._end
-        rows: List[Tuple[str, str, int]] = []
-        for raw in data.splitlines(keepends=True):
-            if raw.endswith(b"\n"):
-                entry = self._parse(raw)
-                if (
-                    entry
-                    and entry.get("kind") == "snapshot"
-                    and "package" in entry
-                    and "version_code" in entry
-                ):
-                    key = _key(entry["package"], entry["version_code"])
-                    if key not in self._index:
-                        self._index[key] = offset
-                        rows.append(("snapshot", key, offset))
-            offset += len(raw)
-        self._end = offset + (1 if torn else 0)
-        self._advance_sidecar(rows, self._end)
+        self._log = AppendLog(
+            self.path,
+            {
+                "kind": "header",
+                "version": WAREHOUSE_VERSION,
+                "serialization": SERIALIZATION_VERSION,
+            },
+            partial(_check_header, self.path),
+            WarehouseError,
+            key=_key,
+            legacy=("index",),
+        )
+        self._log.keys()  # the key map holds every snapshot as of open
 
     def append(self, analysis: Union[AppAnalysis, Dict[str, object]]) -> bool:
         """Store one snapshot; returns False if its key already exists."""
@@ -383,242 +89,71 @@ class SnapshotWarehouse:
             analysis = analysis.to_dict()
         package = analysis["package"]
         version_code = int(analysis.get("metadata", {}).get("version_code", 1))
-        key = _key(package, version_code)
-        with self._mutex:
-            if key in self._index:
-                return False
-            with _file_lock(self._handle, exclusive=True):
-                # Catch up on sibling appends first: _write_line advances
-                # our horizon past them, and one may even hold this key
-                # (first write wins across processes too).
-                self._fold_tail()
-                if key in self._index:
-                    return False
-                offset = self._write_line(
-                    {
-                        "kind": "snapshot",
-                        "package": package,
-                        "version_code": version_code,
-                        "analysis": analysis,
-                    }
-                )
-            self._index[key] = offset
-            self._advance_sidecar([("snapshot", key, offset)], self._end)
-            self._sealed = False
-        return True
-
-    def seal(self) -> None:
-        """Append the in-file index so the next open can skip the scan."""
-        with self._mutex:
-            if self._sealed or self._handle.closed:
-                return
-            with _file_lock(self._handle, exclusive=True):
-                self._fold_tail()
-                self._write_line({"kind": "index", "entries": dict(self._index)})
-            # The index line holds no snapshots; the watermark just moves
-            # past it so the next open starts at EOF.
-            self._advance_sidecar([], self._end)
-            self._sealed = True
-
-    # -- reads -------------------------------------------------------------------
+        entry = {
+            "kind": "snapshot",
+            "package": package,
+            "version_code": version_code,
+            "analysis": analysis,
+        }
+        return self._log.append(entry) is not None
 
     def get(self, package: str, version_code: int) -> Dict[str, object]:
         """The serialized analysis dict stored for one snapshot key."""
-        key = _key(package, version_code)
-        with self._mutex:
-            if key not in self._index:
-                raise KeyError(key)
-            offset = self._index[key]
-            with _file_lock(self._handle, exclusive=False):
-                self._handle.seek(offset)
-                raw = self._handle.readline()
-        entry = self._parse(raw)
-        if not entry or entry.get("kind") != "snapshot":
-            raise WarehouseError(
-                "{}: offset {} for {} does not hold a snapshot".format(
-                    self.path, offset, key
-                )
-            )
+        key = _snapshot_key(package, version_code)
+        entry = self._log.get(("snapshot", key))
+        if entry is None:
+            raise KeyError(key)
         return entry["analysis"]
 
     def get_analysis(self, package: str, version_code: int) -> AppAnalysis:
         return AppAnalysis.from_dict(self.get(package, version_code))
 
+    def _keys(self) -> List[str]:
+        """Snapshot keys this handle has met: all as of open (or of its last
+        :meth:`counts`), plus its appends and lookups."""
+        return [key for _, key in self._log.known()]
+
     def __contains__(self, key: Tuple[str, int]) -> bool:
         package, version_code = key
-        with self._mutex:
-            return _key(package, version_code) in self._index
+        return ("snapshot", _snapshot_key(package, version_code)) in self._log
 
     def __len__(self) -> int:
-        with self._mutex:
-            return len(self._index)
+        return len(self._log.known())
 
     def packages(self) -> List[str]:
-        with self._mutex:
-            return sorted({key.rsplit("@", 1)[0] for key in self._index})
+        return sorted({key.rsplit("@", 1)[0] for key in self._keys()})
 
     def versions(self, package: str) -> List[int]:
         """Stored version codes for one package, ascending."""
         prefix = package + "@"
-        with self._mutex:
-            return sorted(
-                int(key.rsplit("@", 1)[1])
-                for key in self._index
-                if key.startswith(prefix)
-            )
+        return sorted(int(key.rsplit("@", 1)[1]) for key in self._keys() if key.startswith(prefix))
 
     def counts(self) -> Dict[str, int]:
-        """Stored versions per package, answered by the sqlite sidecar.
+        """Stored versions per package, read afresh from the sidecar.
 
-        The sidecar carries every snapshot key, so warm readers get the
-        per-package tally without touching the log file; when sqlite is
-        unavailable (or mid-failure) the in-memory index answers instead.
+        This sees snapshots a sibling appended after this handle opened,
+        still without scanning the log.
         """
-        with self._mutex:
-            keys: Optional[List[str]] = None
-            if self._sidecar is not None:
-                try:
-                    keys = [key for key, _ in self._sidecar.entries("snapshot")]
-                except SQLITE_ERRORS:
-                    self._drop_sidecar()
-            if keys is None:
-                keys = list(self._index)
         table: Dict[str, int] = {}
-        for key in keys:
+        for _, key in self._log.keys():
             package = key.rsplit("@", 1)[0]
             table[package] = table.get(package, 0) + 1
         return table
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        self.seal()
-        with self._mutex:
-            self._drop_sidecar()
-            if not self._handle.closed:
-                self._handle.close()
-
-    def __enter__(self) -> "SnapshotWarehouse":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# -- compaction (``repro store compact``) ------------------------------------------
-
 
 def compact_warehouse(path: Union[str, Path]) -> Dict[str, int]:
-    """Garbage-collect a warehouse file in place; rebuild both indexes.
-
-    Drops duplicate snapshot keys (keeping the *first*, matching the
-    fold rule), every stale interior ``index`` line left by earlier
-    seals, corrupt lines, and a crash-torn tail, then rewrites the
-    surviving snapshot lines byte-identically and appends one fresh
-    trailing index -- so ``get`` answers exactly as before, from a
-    smaller file that fast-opens with or without sqlite.  Same offline
-    contract as :func:`repro.store.verdicts.compact_store`: the rewrite
-    is seek+truncate under the exclusive flock, so no live readers or
-    writers may share the path.
+    """Garbage-collect a warehouse file in place (:meth:`AppendLog.compact`).
 
     Returns ``{"snapshots", "dropped_duplicates", "dropped_corrupt",
     "dropped_index_lines", "bytes_before", "bytes_after"}``.
     """
-    path = Path(path)
-    if not path.exists():
-        raise WarehouseError("{}: no such warehouse".format(path))
-    with path.open("r+b") as handle:
-        with _file_lock(handle, exclusive=True):
-            data = handle.read()
-            if not data:
-                raise WarehouseError("{}: no warehouse header found".format(path))
-            lines = data.splitlines(keepends=True)
-            dropped_corrupt = 0
-            if lines and not lines[-1].endswith(b"\n"):
-                dropped_corrupt += 1  # crash-torn tail
-                lines = lines[:-1]
-            if not lines:
-                raise WarehouseError("{}: no warehouse header found".format(path))
-            try:
-                header = json.loads(lines[0])
-            except json.JSONDecodeError:
-                header = None
-            if not isinstance(header, dict) or header.get("kind") != "header":
-                raise WarehouseError("{}: no warehouse header found".format(path))
-            if header.get("version") != WAREHOUSE_VERSION:
-                raise WarehouseError(
-                    "{}: unsupported warehouse version {}".format(
-                        path, header.get("version")
-                    )
-                )
-            if header.get("serialization") != SERIALIZATION_VERSION:
-                raise WarehouseError(
-                    "{}: snapshots use report serialization {}, this build "
-                    "reads {}".format(
-                        path, header.get("serialization"), SERIALIZATION_VERSION
-                    )
-                )
-            kept = [lines[0]]
-            index: Dict[str, int] = {}
-            dropped_duplicates = 0
-            dropped_index_lines = 0
-            offset = len(lines[0])
-            for raw in lines[1:]:
-                try:
-                    entry = json.loads(raw)
-                except json.JSONDecodeError:
-                    dropped_corrupt += 1
-                    continue
-                if not isinstance(entry, dict):
-                    dropped_corrupt += 1
-                    continue
-                kind = entry.get("kind")
-                if kind == "index":
-                    dropped_index_lines += 1
-                    continue
-                if (
-                    kind != "snapshot"
-                    or "package" not in entry
-                    or "version_code" not in entry
-                ):
-                    dropped_corrupt += 1
-                    continue
-                key = _key(entry["package"], entry["version_code"])
-                if key in index:
-                    dropped_duplicates += 1
-                    continue
-                index[key] = offset
-                kept.append(raw)
-                offset += len(raw)
-            kept.append(
-                json.dumps(
-                    {"kind": "index", "entries": index}, sort_keys=True
-                ).encode("utf-8")
-                + b"\n"
-            )
-            compacted = b"".join(kept)
-            if compacted != data:
-                handle.seek(0)
-                handle.write(compacted)
-                handle.truncate(len(compacted))
-                handle.flush()
-            if sqlite_available():
-                try:
-                    sidecar = StoreIndex(
-                        index_path(path), _warehouse_fingerprint(), len(compacted)
-                    )
-                    sidecar.rebuild(
-                        [("snapshot", key, off) for key, off in index.items()],
-                        len(compacted),
-                    )
-                    sidecar.close()
-                except SQLITE_ERRORS:  # pragma: no cover - index is derived data
-                    pass  # a stale sidecar self-heals on the next open
-    return {
-        "snapshots": len(index),
-        "dropped_duplicates": dropped_duplicates,
-        "dropped_corrupt": dropped_corrupt,
-        "dropped_index_lines": dropped_index_lines,
-        "bytes_before": len(data),
-        "bytes_after": len(compacted),
-    }
+    stats = AppendLog.compact(
+        path,
+        partial(_check_header, Path(path)),
+        WarehouseError,
+        key=_key,
+        legacy=("index",),
+    )
+    stats["snapshots"] = stats.pop("kept")
+    stats["dropped_index_lines"] = stats.pop("dropped_legacy")
+    return stats

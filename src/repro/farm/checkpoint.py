@@ -13,25 +13,22 @@ then one line per settled app, in completion order::
      "error": "...", "attempts": 3}
 
 Appends are flushed line-by-line, so a killed run loses at most the app in
-flight.  On resume, a torn final line (the kill landed mid-write) is
-dropped; corruption anywhere earlier is an error.  Quarantined apps are
-remembered too -- resuming does not re-run an app that already proved
-poisonous.
+flight.  Quarantined apps are remembered too -- resuming does not re-run
+an app that already proved poisonous.  The file is an *owner*
+:class:`~repro.store.log.AppendLog`: exactly one coordinator holds it
+(workers ship results back; network workers POST them), a second one
+fails fast with :class:`CheckpointError`, a torn tail is cut off on
+resume, and corruption anywhere earlier is an error.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Optional, Set, Union
 
 from repro.core.config import DyDroidConfig
 from repro.farm.jobs import AppResult, QuarantineRecord, run_fingerprint
-
-try:  # POSIX only; elsewhere single-writer enforcement degrades to trust.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
+from repro.store.log import AppendLog, LogBacked
 
 JOURNAL_VERSION = 1
 
@@ -40,23 +37,8 @@ class CheckpointError(ValueError):
     """The journal is unreadable or belongs to a different run."""
 
 
-class CheckpointJournal:
-    """Single-writer journal owned by the coordinator process.
-
-    Crash-consistency audit (vs. the sibling-torn-tail hole fixed in
-    :meth:`repro.store.verdicts.VerdictStore._publish`): that bug needs
-    *multiple processes appending through independent handles*, where one
-    dies mid-line and the survivors keep writing.  This journal never has
-    siblings -- exactly one coordinator owns the handle, worker processes
-    ship results back instead of writing here, and the network farm keeps
-    that shape (workers POST results; only the coordinator appends).  A
-    coordinator killed mid-write is healed by the resume path's torn-tail
-    truncation before any new append.  The remaining way to violate the
-    invariant is operator error -- two coordinators resuming the same
-    checkpoint -- so the handle takes a non-blocking exclusive ``flock``
-    for its whole lifetime and a second opener fails fast with
-    :class:`CheckpointError` instead of silently interleaving.
-    """
+class CheckpointJournal(LogBacked):
+    """Single-writer journal owned by the coordinator process."""
 
     def __init__(
         self,
@@ -74,103 +56,25 @@ class CheckpointJournal:
         self.completed: Dict[int, Dict[str, object]] = {}
         #: index -> quarantine line restored from a previous run.
         self.quarantined: Dict[int, Dict[str, object]] = {}
-
-        # Open append-mode and lock *before* any truncation ("w" would
-        # wipe a live sibling's journal before the ownership check ran).
-        if resume:
-            self._load()
-            self._handle = self.path.open("a", encoding="utf-8")
-            self._lock_exclusive()
-            self._truncate_torn_tail()
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-            self._lock_exclusive()
-            self._handle.truncate(0)
-            self._write_line(
-                {
-                    "kind": "header",
-                    "version": JOURNAL_VERSION,
-                    "corpus_seed": corpus_seed,
-                    "n_apps": n_apps,
-                    "fingerprint": self.fingerprint,
-                }
-            )
-
-    def _lock_exclusive(self) -> None:
-        """Claim sole ownership of the journal for this handle's lifetime."""
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            return
-        try:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self._handle.close()
-            raise CheckpointError(
-                "checkpoint {} is already owned by a live coordinator; "
-                "refusing to double-write it".format(self.path)
-            )
-
-    # -- restore ---------------------------------------------------------------
-
-    def _load(self) -> None:
-        if not self.path.exists():
+        if resume and not self.path.exists():
             raise CheckpointError("no checkpoint to resume at {}".format(self.path))
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise CheckpointError("empty checkpoint {}".format(self.path))
-        header = self._parse(lines[0], line_no=1, final=False)
-        self._check_header(header)
-        last = len(lines)
-        kept = lines
-        for line_no, line in enumerate(lines[1:], start=2):
-            entry = self._parse(line, line_no=line_no, final=line_no == last)
-            if entry is None:
-                kept = lines[:-1]  # torn final line from a mid-write kill
-                continue
-            if entry.get("kind") == "result":
-                index = self._require(entry, "index", line_no)
-                self.completed[index] = self._require(entry, "analysis", line_no)
-            elif entry.get("kind") == "quarantine":
-                self.quarantined[self._require(entry, "index", line_no)] = entry
-            else:
-                raise CheckpointError(
-                    "{}:{}: unknown entry kind {!r}".format(
-                        self.path, line_no, entry.get("kind")
-                    )
-                )
-        # Byte length of the journal's valid prefix: every kept line plus
-        # its newline.  Appending after a torn tail without truncating to
-        # this would glue the next entry onto the partial line -- fine for
-        # THIS load, fatal for the next one (the merged line is no longer
-        # final, so _parse escalates it to a hard CheckpointError).
-        self._valid_bytes = len(
-            "".join(line + "\n" for line in kept).encode("utf-8")
+        header = {
+            "kind": "header",
+            "version": JOURNAL_VERSION,
+            "corpus_seed": corpus_seed,
+            "n_apps": n_apps,
+            "fingerprint": self.fingerprint,
+        }
+        self._log = AppendLog(
+            self.path,
+            None if resume else header,
+            self._check_header,
+            CheckpointError,
+            owner="checkpoint {} is already owned by a live coordinator; "
+            "refusing to double-write it",
+            load=self._restore,
+            fresh=not resume,
         )
-
-    def _truncate_torn_tail(self) -> None:
-        if self._valid_bytes < self.path.stat().st_size:
-            with self.path.open("r+b") as handle:
-                handle.truncate(self._valid_bytes)
-
-    def _require(self, entry: dict, key: str, line_no: int):
-        if key not in entry:
-            raise CheckpointError(
-                "{}:{}: {} entry is missing required field {!r}".format(
-                    self.path, line_no, entry.get("kind"), key
-                )
-            )
-        return entry[key]
-
-    def _parse(self, line: str, line_no: int, final: bool) -> Optional[dict]:
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            if final:
-                return None
-            raise CheckpointError("{}:{}: corrupt journal line".format(self.path, line_no))
-        if not isinstance(entry, dict):
-            raise CheckpointError("{}:{}: journal line is not an object".format(self.path, line_no))
-        return entry
 
     def _check_header(self, header: Optional[dict]) -> None:
         if header is None or header.get("kind") != "header":
@@ -185,14 +89,29 @@ class CheckpointJournal:
                 "(seed/corpus size/pipeline config changed)".format(self.path)
             )
 
-    # -- append ---------------------------------------------------------------
+    def _restore(self, line_no: int, entry: dict) -> None:
+        kind = entry.get("kind")
+        if kind not in ("result", "quarantine"):
+            raise CheckpointError(
+                "{}:{}: unknown entry kind {!r}".format(self.path, line_no, kind)
+            )
+        index = self._require(entry, "index", line_no)
+        if kind == "result":
+            self.completed[index] = self._require(entry, "analysis", line_no)
+        else:
+            self.quarantined[index] = entry
 
-    def _write_line(self, entry: dict) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
+    def _require(self, entry: dict, key: str, line_no: int):
+        if key not in entry:
+            raise CheckpointError(
+                "{}:{}: {} entry is missing required field {!r}".format(
+                    self.path, line_no, entry.get("kind"), key
+                )
+            )
+        return entry[key]
 
     def append_result(self, result: AppResult) -> None:
-        self._write_line(
+        self._log.append(
             {
                 "kind": "result",
                 "index": result.index,
@@ -205,7 +124,7 @@ class CheckpointJournal:
         )
 
     def append_quarantine(self, record: QuarantineRecord) -> None:
-        self._write_line(
+        self._log.append(
             {
                 "kind": "quarantine",
                 "index": record.index,
@@ -215,17 +134,6 @@ class CheckpointJournal:
             }
         )
 
-    # -- queries ---------------------------------------------------------------
-
     def settled_indices(self) -> Set[int]:
         """Indices a resumed run must not re-analyze."""
         return set(self.completed) | set(self.quarantined)
-
-    def close(self) -> None:
-        self._handle.close()
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

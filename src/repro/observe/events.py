@@ -16,7 +16,8 @@ eviction (``dropped``) and concurrent writers can prove no record was
 lost or torn.  Two sink modes exist because two consumers need them:
 
 - ``append`` -- write-through, one flushed line per emit (the daemon's
-  audit trail; survives crashes up to the last flush);
+  audit trail; survives crashes up to the last flush, and a reopened sink
+  first cuts off the torn line a killed writer left);
 - ``rewrite`` -- atomically rewrite the whole ring on every emit (the
   farm flight recorder: the on-disk file always parses, always holds the
   last N records, and a SIGKILL can never tear a line).
@@ -114,6 +115,9 @@ class EventLog:
         self._lock = threading.Lock()
         self._handle = None
         if sink and sink_mode == "append":
+            # deferred: repro.store imports the analyzers, which import us
+            from repro.store.log import repair_and_append
+            repair_and_append(sink)  # a killed predecessor's torn line
             self._handle = open(sink, "a", encoding="utf-8")
 
     # -- write -----------------------------------------------------------------
@@ -204,21 +208,18 @@ def load_events(path: str) -> List[Dict[str, Any]]:
     """Read a JSONL event file, tolerating a torn final line.
 
     An ``append``-mode sink killed mid-write can leave a partial last
-    record; post-mortem tooling must still read everything before it.
-    A torn line anywhere *else* is real corruption and raises.
+    record; post-mortem tooling must still read everything before it, and
+    like every log reader it never reads past the last newline.  A torn
+    line anywhere *else* is real corruption and raises.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    from repro.store.log import complete_lines
+
     events: List[Dict[str, Any]] = []
-    for position, line in enumerate(lines):
+    for line_no, line in enumerate(complete_lines(path), 1):
         if not line.strip():
             continue
         try:
             events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if position == len(lines) - 1:
-                break  # torn tail: the crash the recorder exists to survive
-            raise ValueError(
-                "{}:{}: unparseable event record".format(path, position + 1)
-            )
+        except ValueError:
+            raise ValueError("{}:{}: unparseable event record".format(path, line_no))
     return events

@@ -10,30 +10,25 @@ then one line per *distinct* analyzed APK, in completion order::
     {"kind": "result", "digest": "...", "spec_key": "...",
      "package": "com.a.b", "analyze_s": 0.12, "analysis": {...}}
 
-Appends are flushed line-by-line (a killed daemon loses at most the job
-in flight); on reload a torn final line is dropped, corruption anywhere
-earlier is an error.  The fingerprint check refuses to serve results
-computed under a different pipeline configuration -- the same contract
-the farm checkpoint enforces for ``--resume``.
-
-Unlike the farm journal, opening an existing file *resumes by default*:
-a restarted daemon should serve what it already computed.
+It is an *owner* :class:`~repro.store.log.AppendLog`: a killed daemon
+loses at most the job in flight, its torn tail is cut off on the next
+start, corruption anywhere earlier is an error, and a second daemon on
+the same ``--persist`` file fails fast with :class:`ServicePersistError`.
+The fingerprint check refuses to serve results computed under a
+different pipeline configuration -- the same contract the farm checkpoint
+enforces for ``--resume``.  Unlike the farm journal, opening an existing
+file *resumes by default*: a restarted daemon should serve what it
+already computed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.core.config import DyDroidConfig
-
-try:  # POSIX only; elsewhere single-writer enforcement degrades to trust.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
+from repro.store.log import AppendLog, LogBacked
 
 __all__ = ["JOURNAL_VERSION", "ResultJournal", "ServicePersistError", "pipeline_fingerprint"]
 
@@ -55,117 +50,23 @@ def pipeline_fingerprint(config: DyDroidConfig) -> str:
     return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:16]
 
 
-class ResultJournal:
-    """Single-file journal shared by all scheduler threads (lock-serialized).
-
-    Crash-consistency audit (vs. the sibling-torn-tail hole fixed in
-    :meth:`repro.store.verdicts.VerdictStore._publish`): all appends to
-    this journal go through one handle behind one mutex, so a torn tail
-    can only be this daemon's own crash debris, healed on the next open
-    before new appends.  The hole needs a *second* process appending to
-    the same path -- two daemons started with the same ``--persist`` --
-    so the handle takes a non-blocking exclusive ``flock`` for its whole
-    lifetime and the second daemon fails fast with
-    :class:`ServicePersistError` instead of silently interleaving.
-    """
+class ResultJournal(LogBacked):
+    """Single-file journal shared by all scheduler threads."""
 
     def __init__(self, path: Union[str, Path], config: DyDroidConfig) -> None:
         self.path = Path(path)
         self.fingerprint = pipeline_fingerprint(config)
-        self._lock = threading.Lock()
         #: entries restored from a previous daemon's lifetime.
         self.restored: List[Dict[str, object]] = []
-        # Open append-mode and lock *before* any truncation, so a second
-        # daemon can never clobber the live owner's file.
-        if self.path.exists() and self.path.stat().st_size > 0:
-            self._load()
-            self._handle = self.path.open("a", encoding="utf-8")
-            self._lock_exclusive()
-            self._truncate_torn_tail()
-        else:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
-            self._lock_exclusive()
-            self._handle.truncate(0)
-            self._write_line(
-                {
-                    "kind": "header",
-                    "version": JOURNAL_VERSION,
-                    "fingerprint": self.fingerprint,
-                }
-            )
-
-    def _lock_exclusive(self) -> None:
-        """Claim sole ownership of the journal for this handle's lifetime."""
-        if fcntl is None:  # pragma: no cover - non-POSIX fallback
-            return
-        try:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            self._handle.close()
-            raise ServicePersistError(
-                "result journal {} is already owned by a live daemon; "
-                "refusing to double-write it".format(self.path)
-            )
-
-    # -- restore ---------------------------------------------------------------
-
-    def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        header = self._parse(lines[0], line_no=1, final=False)
-        self._check_header(header)
-        last = len(lines)
-        kept = lines
-        for line_no, line in enumerate(lines[1:], start=2):
-            entry = self._parse(line, line_no=line_no, final=line_no == last)
-            if entry is None:
-                kept = lines[:-1]  # torn final line from a mid-write kill
-                continue
-            if entry.get("kind") != "result":
-                raise ServicePersistError(
-                    "{}:{}: unknown entry kind {!r}".format(
-                        self.path, line_no, entry.get("kind")
-                    )
-                )
-            for key in ("spec_key", "digest", "package", "analysis"):
-                if key not in entry:
-                    raise ServicePersistError(
-                        "{}:{}: result entry is missing required field "
-                        "{!r}".format(self.path, line_no, key)
-                    )
-            self.restored.append(entry)
-        # Valid-prefix byte length; see _truncate_torn_tail.
-        self._valid_bytes = len(
-            "".join(line + "\n" for line in kept).encode("utf-8")
+        self._log = AppendLog(
+            self.path,
+            {"kind": "header", "version": JOURNAL_VERSION, "fingerprint": self.fingerprint},
+            self._check_header,
+            ServicePersistError,
+            owner="result journal {} is already owned by a live daemon; "
+            "refusing to double-write it",
+            load=self._restore,
         )
-
-    def _truncate_torn_tail(self) -> None:
-        """Drop a torn final line from disk, not just from the restore.
-
-        Reopening with mode ``"a"`` after merely *ignoring* the torn tail
-        would append the next result onto the partial line; on the restart
-        after that the merged line is interior, so _parse escalates it to
-        a hard ServicePersistError.  Truncating to the valid prefix keeps
-        every future restart clean.
-        """
-        if self._valid_bytes < self.path.stat().st_size:
-            with self.path.open("r+b") as handle:
-                handle.truncate(self._valid_bytes)
-
-    def _parse(self, line: str, line_no: int, final: bool) -> Optional[dict]:
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            if final:
-                return None
-            raise ServicePersistError(
-                "{}:{}: corrupt journal line".format(self.path, line_no)
-            )
-        if not isinstance(entry, dict):
-            raise ServicePersistError(
-                "{}:{}: journal line is not an object".format(self.path, line_no)
-            )
-        return entry
 
     def _check_header(self, header: Optional[dict]) -> None:
         if header is None or header.get("kind") != "header":
@@ -182,11 +83,18 @@ class ResultJournal:
                 "configuration; refusing to serve its results".format(self.path)
             )
 
-    # -- append ---------------------------------------------------------------
-
-    def _write_line(self, entry: dict) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
+    def _restore(self, line_no: int, entry: dict) -> None:
+        if entry.get("kind") != "result":
+            raise ServicePersistError(
+                "{}:{}: unknown entry kind {!r}".format(self.path, line_no, entry.get("kind"))
+            )
+        for key in ("spec_key", "digest", "package", "analysis"):
+            if key not in entry:
+                raise ServicePersistError(
+                    "{}:{}: result entry is missing required field "
+                    "{!r}".format(self.path, line_no, key)
+                )
+        self.restored.append(entry)
 
     def append_result(
         self,
@@ -196,18 +104,13 @@ class ResultJournal:
         analyze_s: float,
         analysis: Dict[str, object],
     ) -> None:
-        with self._lock:
-            self._write_line(
-                {
-                    "kind": "result",
-                    "spec_key": spec_key,
-                    "digest": digest,
-                    "package": package,
-                    "analyze_s": round(analyze_s, 6),
-                    "analysis": analysis,
-                }
-            )
-
-    def close(self) -> None:
-        with self._lock:
-            self._handle.close()
+        self._log.append(
+            {
+                "kind": "result",
+                "spec_key": spec_key,
+                "digest": digest,
+                "package": package,
+                "analyze_s": round(analyze_s, 6),
+                "analysis": analysis,
+            }
+        )

@@ -1,40 +1,20 @@
-"""Sqlite sidecar index for the JSONL verdict store.
+"""Sqlite sidecar index for a keyed append-only log (:mod:`repro.store.log`).
 
-The JSONL file stays the single source of truth and the portable
-interchange format; this module adds a derived ``<store>.idx`` sqlite
-database next to it so warm opens and point lookups stop paying a linear
-re-scan.  Design constraints, in order:
-
-1. **The index is a cache, never an authority.**  Every row is derived
-   from the JSONL by a scan that already folded the same bytes, and any
-   validation failure (schema drift, fingerprint mismatch, watermark past
-   EOF after an external truncate) resets the index rather than erroring.
-   Losing the sidecar costs one full re-scan, nothing else.
-2. **Crash consistency by ordering.**  The ``watermark`` (byte offset the
-   index covers) only advances inside the same transaction that upserts
-   every entry parsed from ``[old_watermark, new_watermark)``.  A crash
-   between a JSONL append and the next index update merely leaves an
-   unindexed tail, which the next reader's incremental scan heals.
-3. **The flock contract is unchanged.**  Appends still serialize on the
-   JSONL's advisory lock; sqlite provides its own cross-process locking
-   for the sidecar (``INSERT OR IGNORE`` + monotonic watermark updates
-   make concurrent healers idempotent).
-
-Schema (version 1)::
-
-    meta(key TEXT PRIMARY KEY, value TEXT)
-        -- schema_version, fingerprint, watermark
-    entries(kind TEXT, digest TEXT, offset INTEGER,
-            PRIMARY KEY (kind, digest)) WITHOUT ROWID
-
-``offset`` is the byte position of the first JSONL line publishing that
-``(kind, digest)``; first write wins, matching the store's fold rule.
+The JSONL file stays the single source of truth.  The derived
+``<log>.idx`` database next to it maps each ``(kind, digest)`` to the
+byte offset of its first line, up to a ``watermark``, so warm opens and
+point lookups skip the linear scan.  It is a cache, never an authority:
+a validation failure (schema drift, another log's fingerprint, a
+watermark past EOF) resets it, and losing it costs one full scan.  The
+watermark only advances in the transaction that inserts every entry
+below it, and only holders of the log's exclusive ``flock`` write here.
+The schema is in ``docs/architecture.md`` §18.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 try:  # stdlib, but allow degraded operation if the build lacks it.
     import sqlite3
@@ -63,7 +43,7 @@ def sqlite_available() -> bool:
 
 
 def index_path(store_path: Union[str, Path]) -> Path:
-    """Sidecar path for a store file: ``verdicts.jsonl`` -> ``verdicts.jsonl.idx``."""
+    """Sidecar path for a log file: ``verdicts.jsonl`` -> ``verdicts.jsonl.idx``."""
     store_path = Path(store_path)
     return store_path.with_name(store_path.name + ".idx")
 
@@ -71,33 +51,36 @@ def index_path(store_path: Union[str, Path]) -> Path:
 class StoreIndex:
     """Offset index over one append-only JSONL file.
 
-    ``fingerprint`` is the owning store's header fingerprint; a sidecar
-    written for a different fingerprint (the JSONL was replaced) is reset
-    on open.  ``store_size`` is the JSONL's current byte size, used to
-    detect a stale watermark after an external truncate or swap.
+    ``fingerprint`` identifies the log the sidecar was built for; one
+    written for another fingerprint (the JSONL was replaced) is reset.
+    ``store_size`` is the JSONL's byte size at open, used to detect a
+    stale watermark after an external truncate or swap.
 
-    All methods may raise :class:`sqlite3.Error` under disk pressure or
-    pathological lock contention; callers treat that as "index
-    unavailable" and fall back to scanning.
+    The database is opened and validated on first use, so every sqlite
+    failure -- opening included -- surfaces from a method call as
+    :class:`sqlite3.Error`, which callers treat as "index unavailable".
     """
 
-    def __init__(
-        self, path: Union[str, Path], fingerprint: str, store_size: int
-    ) -> None:
+    def __init__(self, path: Union[str, Path], fingerprint: str, store_size: int) -> None:
         if sqlite3 is None:  # pragma: no cover - sqlite3 ships with CPython
             raise RuntimeError("sqlite3 is unavailable")
         self.path = Path(path)
         self.fingerprint = fingerprint
-        self._conn = sqlite3.connect(
-            str(self.path), timeout=5.0, check_same_thread=False
-        )
-        self._conn.isolation_level = None  # explicit transactions only
-        self._ensure_schema(store_size)
+        self._store_size = store_size
+        self._db = None
 
     # -- lifecycle ---------------------------------------------------------------
 
+    @property
+    def _conn(self):
+        if self._db is None:
+            self._db = sqlite3.connect(str(self.path), timeout=5.0, check_same_thread=False)
+            self._db.isolation_level = None  # explicit transactions only
+            self._ensure_schema(self._store_size)
+        return self._db
+
     def _ensure_schema(self, store_size: int) -> None:
-        cur = self._conn
+        cur = self._db
         cur.execute("BEGIN IMMEDIATE")
         try:
             cur.execute(
@@ -138,7 +121,8 @@ class StoreIndex:
         return None if row is None else str(row[0])
 
     def close(self) -> None:
-        self._conn.close()
+        if self._db is not None:
+            self._db.close()
 
     # -- reads -------------------------------------------------------------------
 
@@ -146,46 +130,52 @@ class StoreIndex:
         value = self._meta(self._conn, "watermark")
         return int(value) if value is not None and value.isdigit() else 0
 
-    def lookup(self, kind: str, digest: str) -> Optional[int]:
-        row = self._conn.execute(
-            "SELECT offset FROM entries WHERE kind = ? AND digest = ?",
+    def probe(self, kind: str, digest: str) -> Tuple[Optional[int], int]:
+        """``(offset of the key or None, watermark)``, read in one statement."""
+        offset, watermark = self._conn.execute(
+            "SELECT (SELECT offset FROM entries WHERE kind = ? AND digest = ?),"
+            " (SELECT value FROM meta WHERE key = 'watermark')",
             (kind, digest),
         ).fetchone()
-        return None if row is None else int(row[0])
+        mark = int(watermark) if watermark is not None and str(watermark).isdigit() else 0
+        return (None if offset is None else int(offset)), mark
 
-    def count(self, kind: str) -> int:
-        row = self._conn.execute(
-            "SELECT COUNT(*) FROM entries WHERE kind = ?", (kind,)
-        ).fetchone()
-        return int(row[0])
+    def counts(self) -> Dict[str, int]:
+        """Indexed keys per kind."""
+        rows = self._conn.execute("SELECT kind, COUNT(*) FROM entries GROUP BY kind")
+        return {str(kind): int(count) for kind, count in rows}
 
-    def entries(self, kind: str) -> Iterable[Tuple[str, int]]:
-        """All ``(digest, offset)`` pairs of one kind, for bulk map loads.
-
-        The warehouse uses this to rebuild its in-memory key->offset map
-        without touching the JSONL; the verdict store never needs it (it
-        probes per digest instead of materializing).
-        """
+    def entries(self) -> List[IndexRow]:
+        """Every indexed ``(kind, digest, offset)``, for whole-log listings."""
         return [
-            (str(digest), int(offset))
-            for digest, offset in self._conn.execute(
-                "SELECT digest, offset FROM entries WHERE kind = ?", (kind,)
+            (str(kind), str(digest), int(offset))
+            for kind, digest, offset in self._conn.execute(
+                "SELECT kind, digest, offset FROM entries"
             )
         ]
 
     # -- writes ------------------------------------------------------------------
 
     def advance(self, rows: Iterable[IndexRow], new_watermark: int) -> None:
-        """Fold one scanned range: upsert ``rows`` and raise the watermark.
+        """Index one appended range: insert ``rows``, raise the watermark.
 
         First write wins (``INSERT OR IGNORE``) and the watermark only
-        moves forward, so concurrent healers scanning overlapping ranges
-        commute.  Entries and watermark move in one transaction: the
-        watermark never claims coverage the entries table lacks.
+        moves forward.  Entries and watermark move in one transaction:
+        the watermark never claims coverage the entries table lacks.
         """
+        self._write(rows, new_watermark, clear=False)
+
+    def rebuild(self, rows: Iterable[IndexRow], watermark: int) -> None:
+        """Replace the whole index (the JSONL was rewritten)."""
+        self._write(rows, watermark, clear=True)
+
+    def _write(self, rows: Iterable[IndexRow], watermark: int, clear: bool) -> None:
         cur = self._conn
         cur.execute("BEGIN IMMEDIATE")
         try:
+            if clear:
+                cur.execute("DELETE FROM entries")
+                cur.execute("UPDATE meta SET value = '0' WHERE key = 'watermark'")
             cur.executemany(
                 "INSERT OR IGNORE INTO entries (kind, digest, offset)"
                 " VALUES (?, ?, ?)",
@@ -194,32 +184,9 @@ class StoreIndex:
             cur.execute(
                 "UPDATE meta SET value = ? WHERE key = 'watermark'"
                 " AND CAST(value AS INTEGER) < ?",
-                (str(int(new_watermark)), int(new_watermark)),
+                (str(int(watermark)), int(watermark)),
             )
             cur.execute("COMMIT")
         except BaseException:
             cur.execute("ROLLBACK")
             raise
-
-    def rebuild(self, rows: Iterable[IndexRow], watermark: int) -> None:
-        """Replace the whole index (compaction rewrote the JSONL)."""
-        cur = self._conn
-        cur.execute("BEGIN IMMEDIATE")
-        try:
-            cur.execute("DELETE FROM entries")
-            cur.executemany(
-                "INSERT OR IGNORE INTO entries (kind, digest, offset)"
-                " VALUES (?, ?, ?)",
-                list(rows),
-            )
-            cur.execute(
-                "INSERT OR REPLACE INTO meta (key, value) VALUES ('watermark', ?)",
-                (str(int(watermark)),),
-            )
-            cur.execute("COMMIT")
-        except BaseException:
-            cur.execute("ROLLBACK")
-            raise
-
-    def reset(self) -> None:
-        self.rebuild([], 0)

@@ -11,10 +11,9 @@ network farm nodes (separate hosts sharing a filesystem), and service
 workers (separate threads):
 
 - **tier 1** stays the in-process LRU in front (zero-cost hits);
-- **tier 2** is this store: an append-only JSONL file, advisory-locked
-  with ``fcntl.flock`` so concurrent writers (farm worker processes)
-  never interleave partial lines, and re-scanned incrementally on miss so
-  readers see verdicts other processes published mid-run.
+- **tier 2** is this store, a shared :class:`~repro.store.log.AppendLog`
+  keyed by ``(kind, digest)``, so a verdict one process publishes is seen
+  by every other before it recomputes it.
 
 File layout (one file, line-oriented)::
 
@@ -31,55 +30,25 @@ under a different verdict configuration is refused with
 :class:`StoreError`, mirroring the journal fingerprint contracts in
 :mod:`repro.farm.checkpoint` and :mod:`repro.service.persist`.
 
-Duplicate publishes (two processes racing on the same digest) are legal;
-folds are **first write wins** everywhere -- the incremental scan, the
-sidecar index, and compaction agree, so a lookup answers identically no
-matter which path served it.
-
-Concurrency model: appends take an exclusive ``flock`` around a single
-buffered write+flush of one complete line (the file is opened
-``O_APPEND``, so the line lands atomically at the end); reads take a
-shared lock and only consume through the last complete newline, so a
-writer killed mid-line can never corrupt a reader.  Crash-torn tails are
-sealed with a newline under the exclusive lock both at open *and* before
-every append, so a long-lived handle never concatenates onto a sibling's
-debris.  Within one process a mutex serializes handle access, making one
-store instance safely shareable across service worker threads.
-
-Warm opens and point lookups are served by a sqlite sidecar index
-(:mod:`repro.store.index`) mapping ``(kind, digest)`` to a byte offset,
-so a handle on a million-line store reads exactly one line per lookup
-instead of scanning.  The sidecar is derived data: deleting it costs one
-full re-scan (counted in :attr:`VerdictStore.full_scans`), and
-``repro store compact`` rebuilds it after garbage-collecting duplicate
-and corrupt lines from the JSONL.
+Locking, torn tails, the sqlite sidecar and compaction are the log's
+(:mod:`repro.store.log`); duplicate publishes fold first-write-wins
+everywhere.  One instance is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import threading
-from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-from repro.core.config import DyDroidConfig
 from repro.static_analysis.malware.droidnative import Detection
 from repro.static_analysis.privacy.flowdroid import PrivacyLeak
-from repro.store.index import (
-    SQLITE_ERRORS,
-    StoreIndex,
-    index_path,
-    sqlite_available,
-)
+from repro.store.log import AppendLog, Key, LogBacked
 
-try:  # POSIX only; on other platforms the store degrades to thread-safety.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
+if TYPE_CHECKING:  # a runtime import would cycle through repro.core.pipeline
+    from repro.core.config import DyDroidConfig
 
 __all__ = [
     "STORE_VERSION",
@@ -118,473 +87,103 @@ def verdict_fingerprint(config: DyDroidConfig) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-def _detection_to_plain(detection: Optional[Detection]) -> Optional[Dict[str, object]]:
-    if detection is None:
-        return None
-    return {f.name: getattr(detection, f.name) for f in fields(detection)}
+def _key(entry: Dict[str, object]) -> Optional[Key]:
+    kind, digest = entry.get("kind"), entry.get("digest")
+    if kind in ("detection", "privacy") and isinstance(digest, str):
+        return kind, digest
+    return None
 
 
-def _detection_from_plain(data: Optional[Dict[str, object]]) -> Optional[Detection]:
-    return None if data is None else Detection(**data)
+def _check_header(
+    path: Path, fingerprint: Optional[str], entry: Optional[Dict[str, object]]
+) -> None:
+    """Refuse anything but a store header (for ``fingerprint``, unless None)."""
+    if entry is None or entry.get("kind") != "header":
+        raise StoreError("{}: no store header found".format(path))
+    if entry.get("version") != STORE_VERSION:
+        raise StoreError(
+            "{}: unsupported store version {}".format(path, entry.get("version"))
+        )
+    if fingerprint is not None and entry.get("fingerprint") != fingerprint:
+        raise StoreError(
+            "verdict store {} was written under a different analyzer "
+            "configuration; refusing to serve its verdicts".format(path)
+        )
 
 
-def _leaks_to_plain(leaks: Tuple[PrivacyLeak, ...]) -> List[Dict[str, object]]:
-    return [{f.name: getattr(leak, f.name) for f in fields(leak)} for leak in leaks]
-
-
-def _leaks_from_plain(data: List[Dict[str, object]]) -> Tuple[PrivacyLeak, ...]:
-    return tuple(PrivacyLeak(**leak) for leak in data)
-
-
-@contextmanager
-def _file_lock(handle, exclusive: bool) -> Iterator[None]:
-    """Advisory whole-file lock; a no-op where ``fcntl`` is unavailable."""
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        yield
-        return
-    fcntl.flock(handle.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-    try:
-        yield
-    finally:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-
-class VerdictStore:
+class VerdictStore(LogBacked):
     """Content-addressed detection/privacy verdicts shared across processes.
 
     One instance per process (or per daemon, shared across its worker
-    threads); any number of instances may point at the same path.  Lookups
-    miss through three layers: the in-memory fold, the sqlite sidecar
-    index (one ``pread`` of the recorded line), and finally an incremental
-    scan of the file tail, so a verdict published by a sibling shard is
+    threads); any number of instances may point at the same path.  A
+    lookup misses through this handle's memory, the sidecar index, and the
+    file's unindexed tail, so a verdict published by a sibling shard is
     visible before this process recomputes it.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        config: DyDroidConfig,
-        index: bool = True,
-    ) -> None:
+    def __init__(self, path: Union[str, Path], config: DyDroidConfig) -> None:
         self.path = Path(path)
         self.fingerprint = verdict_fingerprint(config)
-        #: digest -> serialized Detection (or None for computed-benign).
-        self._detections: Dict[str, Optional[Dict[str, object]]] = {}
-        #: digest -> serialized leak list.
-        self._privacy: Dict[str, List[Dict[str, object]]] = {}
-        self._offset = 0
-        self._header_checked = False
-        #: unparseable interior lines skipped during scans (external
-        #: tampering; the records are a cache, so skipping only costs a
-        #: recomputation).
-        self.corrupt_lines = 0
-        #: scans that started at byte 0 -- a warm open with a healthy
-        #: sidecar never performs one (the acceptance counter for the
-        #: index: ``full_scans == 0`` on warm opens).
-        self.full_scans = 0
-        #: point lookups served by the sidecar index (one line read).
-        self.index_hits = 0
-        #: sidecar probes that found nothing and fell through to a scan.
-        self.index_misses = 0
-        self._mutex = threading.Lock()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # "a+b" creates the file if missing and opens O_APPEND: every
-        # write lands at the end regardless of the read position.
-        self._handle = self.path.open("a+b")
-        with self._mutex:
-            with _file_lock(self._handle, exclusive=True):
-                self._handle.seek(0, os.SEEK_END)
-                size = self._handle.tell()
-                if size == 0:
-                    self._write_line(
-                        {
-                            "kind": "header",
-                            "version": STORE_VERSION,
-                            "fingerprint": self.fingerprint,
-                        }
-                    )
-                else:
-                    self._seal_torn_tail(size)
-                self._handle.seek(0, os.SEEK_END)
-                size = self._handle.tell()
-            # Validate the header *before* touching the sidecar so a
-            # refused store never grows an index file.
-            self._read_header()
-            self._index: Optional[StoreIndex] = None
-            if index and sqlite_available():
-                try:
-                    self._index = StoreIndex(
-                        index_path(self.path), self.fingerprint, size
-                    )
-                    self._offset = self._index.watermark()
-                except SQLITE_ERRORS:
-                    self._index = None
-                    self._offset = 0
-            self._refresh()
+        #: (kind, digest) -> record this handle published or read, so no
+        #: process ever re-reads its own appends.
+        self._records: Dict[Key, Dict[str, object]] = {}
+        self._log = AppendLog(
+            self.path,
+            {"kind": "header", "version": STORE_VERSION, "fingerprint": self.fingerprint},
+            partial(_check_header, self.path, self.fingerprint),
+            StoreError,
+            key=_key,
+        )
 
-    def _seal_torn_tail(self, size: int) -> None:
-        """Terminate a crash-torn final line (exclusive lock and mutex held).
+    def _get(self, kind: str, digest: str) -> Optional[Dict[str, object]]:
+        entry = self._records.get((kind, digest))
+        if entry is None:
+            entry = self._log.get((kind, digest))
+            if entry is not None:
+                self._records[kind, digest] = entry
+        return entry
 
-        A writer killed mid-append leaves a partial line with no newline.
-        Left alone, the next publish would concatenate onto it, corrupting
-        *both* records.  Sealing with a newline turns the torn tail into
-        an ordinary corrupt interior line, which scans skip.  Holding the
-        exclusive lock guarantees no live writer is mid-append, so a
-        missing final newline can only be crash debris.
-        """
-        self._handle.seek(size - 1)
-        if self._handle.read(1) != b"\n":
-            self._handle.write(b"\n")
-            self._handle.flush()
-
-    def _read_header(self) -> None:
-        """Parse and validate line 1 directly (no full scan needed)."""
-        with _file_lock(self._handle, exclusive=False):
-            self._handle.seek(0)
-            raw = self._handle.readline()
-        try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError:
-            raise StoreError("{}: no store header found".format(self.path))
-        if not isinstance(entry, dict) or entry.get("kind") != "header":
-            raise StoreError("{}: no store header found".format(self.path))
-        self._check_header(entry)
-
-    # -- scanning ----------------------------------------------------------------
-
-    def _refresh(self) -> None:
-        """Fold lines other writers appended since the last scan (mutex held).
-
-        Every complete line scanned is also upserted into the sidecar
-        index before its watermark advances, so the index is healed as a
-        side effect of ordinary reads -- whichever process scans a range
-        first indexes it for the whole fleet.
-        """
-        with _file_lock(self._handle, exclusive=False):
-            self._handle.seek(0, os.SEEK_END)
-            size = self._handle.tell()
-            if size <= self._offset:
-                return
-            self._handle.seek(self._offset)
-            chunk = self._handle.read(size - self._offset)
-        cut = chunk.rfind(b"\n")
-        if cut < 0:
-            return  # only a torn tail so far; wait for the writer to finish
-        if self._offset == 0:
-            self.full_scans += 1
-        complete = chunk[: cut + 1]
-        offset = self._offset
-        self._offset += cut + 1
-        rows: List[Tuple[str, str, int]] = []
-        for raw in complete.splitlines(keepends=True):
-            line_offset = offset
-            offset += len(raw)
-            try:
-                entry = json.loads(raw)
-            except json.JSONDecodeError:
-                self.corrupt_lines += 1
-                continue
-            if not isinstance(entry, dict):
-                self.corrupt_lines += 1
-                continue
-            kind = entry.get("kind")
-            if kind == "header":
-                self._check_header(entry)
-            elif kind == "detection" and "digest" in entry:
-                self._detections.setdefault(entry["digest"], entry.get("verdict"))
-                rows.append(("detection", entry["digest"], line_offset))
-            elif kind == "privacy" and "digest" in entry:
-                self._privacy.setdefault(entry["digest"], entry.get("leaks") or [])
-                rows.append(("privacy", entry["digest"], line_offset))
-            else:
-                self.corrupt_lines += 1
-        if self._index is not None:
-            try:
-                self._index.advance(rows, self._offset)
-            except SQLITE_ERRORS:
-                self._disable_index()
-
-    def _check_header(self, entry: Dict[str, object]) -> None:
-        if entry.get("version") != STORE_VERSION:
-            raise StoreError(
-                "{}: unsupported store version {}".format(self.path, entry.get("version"))
-            )
-        if entry.get("fingerprint") != self.fingerprint:
-            raise StoreError(
-                "verdict store {} was written under a different analyzer "
-                "configuration; refusing to serve its verdicts".format(self.path)
-            )
-        self._header_checked = True
-
-    # -- sidecar index -----------------------------------------------------------
-
-    def _disable_index(self) -> None:
-        """Drop the sidecar and fall back to memory-only (mutex held).
-
-        The in-memory fold may only cover ``[watermark, EOF)``, so the
-        offset rewinds to zero and one full scan rebuilds complete
-        coverage.  First-wins ``setdefault`` makes the re-fold idempotent.
-        """
-        index, self._index = self._index, None
-        if index is not None:
-            try:
-                index.close()
-            except SQLITE_ERRORS:  # pragma: no cover - close is best-effort
-                pass
-        self._offset = 0
-        self._refresh()
-
-    def _entry_at(self, offset: int) -> Optional[Dict[str, object]]:
-        """Read and parse the single line starting at ``offset``."""
-        with _file_lock(self._handle, exclusive=False):
-            self._handle.seek(offset)
-            raw = self._handle.readline()
-        try:
-            entry = json.loads(raw)
-        except json.JSONDecodeError:
-            return None
-        return entry if isinstance(entry, dict) else None
-
-    def _find(self, kind: str, digest: str) -> Tuple[bool, object]:
-        """Three-layer lookup: memory, sidecar index, then tail scan."""
-        table = self._detections if kind == "detection" else self._privacy
-        if digest in table:
-            return True, table[digest]
-        if self._index is not None:
-            try:
-                offset = self._index.lookup(kind, digest)
-            except SQLITE_ERRORS:
-                self._disable_index()
-            else:
-                if offset is not None:
-                    entry = self._entry_at(offset)
-                    if (
-                        entry is not None
-                        and entry.get("kind") == kind
-                        and entry.get("digest") == digest
-                    ):
-                        payload = (
-                            entry.get("verdict")
-                            if kind == "detection"
-                            else entry.get("leaks") or []
-                        )
-                        table[digest] = payload
-                        self.index_hits += 1
-                        return True, payload
-                    # The recorded offset no longer holds that record: the
-                    # JSONL was rewritten underneath the sidecar.  Rebuild
-                    # from scratch rather than trust any other row.
-                    try:
-                        self._index.reset()
-                    except SQLITE_ERRORS:
-                        self._disable_index()
-                    else:
-                        self._offset = 0
-                else:
-                    self.index_misses += 1
-        self._refresh()
-        if digest in table:
-            return True, table[digest]
-        return False, None
-
-    def _published(self, kind: str, digest: str) -> bool:
-        """Duplicate-suppression probe for puts (memory + index only)."""
-        table = self._detections if kind == "detection" else self._privacy
-        if digest in table:
-            return True
-        if self._index is not None:
-            try:
-                return self._index.lookup(kind, digest) is not None
-            except SQLITE_ERRORS:
-                self._disable_index()
-        return False
-
-    # -- appends -----------------------------------------------------------------
-
-    def _write_line(self, entry: Dict[str, object]) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True).encode("utf-8") + b"\n")
-        self._handle.flush()
-
-    def _publish(self, entry: Dict[str, object]) -> None:
-        with _file_lock(self._handle, exclusive=True):
-            # A sibling process may have died mid-append since our own
-            # open-time seal; re-check under the exclusive lock so this
-            # line never concatenates onto its torn tail.
-            self._handle.seek(0, os.SEEK_END)
-            size = self._handle.tell()
-            if size:
-                self._seal_torn_tail(size)
-            self._write_line(entry)
-
-    # -- detection tier ----------------------------------------------------------
+    def _put(self, entry: Dict[str, object]) -> None:
+        key = _key(entry)
+        if key not in self._records and self._log.append(entry) is not None:
+            self._records[key] = entry
 
     def get_detection(self, digest: str) -> Tuple[bool, Optional[Detection]]:
         """``(found, verdict)``; ``(True, None)`` means computed-benign."""
-        with self._mutex:
-            found, payload = self._find("detection", digest)
-        if not found:
+        entry = self._get("detection", digest)
+        if entry is None:
             return False, None
-        return True, _detection_from_plain(payload)
+        verdict = entry.get("verdict")
+        return True, None if verdict is None else Detection(**verdict)
 
     def put_detection(self, digest: str, detection: Optional[Detection]) -> None:
-        payload = _detection_to_plain(detection)
-        with self._mutex:
-            if self._published("detection", digest):
-                return  # a sibling already published this digest
-            self._publish({"kind": "detection", "digest": digest, "verdict": payload})
-            self._detections.setdefault(digest, payload)
-
-    # -- privacy tier ------------------------------------------------------------
+        verdict = None if detection is None else asdict(detection)
+        self._put({"kind": "detection", "digest": digest, "verdict": verdict})
 
     def get_privacy(self, digest: str) -> Tuple[bool, Tuple[PrivacyLeak, ...]]:
-        with self._mutex:
-            found, payload = self._find("privacy", digest)
-        if not found:
+        entry = self._get("privacy", digest)
+        if entry is None:
             return False, ()
-        return True, _leaks_from_plain(payload)
+        return True, tuple(PrivacyLeak(**leak) for leak in entry.get("leaks") or [])
 
     def put_privacy(self, digest: str, leaks: Tuple[PrivacyLeak, ...]) -> None:
-        payload = _leaks_to_plain(leaks)
-        with self._mutex:
-            if self._published("privacy", digest):
-                return
-            self._publish({"kind": "privacy", "digest": digest, "leaks": payload})
-            self._privacy.setdefault(digest, payload)
-
-    # -- introspection / lifecycle -----------------------------------------------
+        plain = [asdict(leak) for leak in leaks]
+        self._put({"kind": "privacy", "digest": digest, "leaks": plain})
 
     def counts(self) -> Dict[str, int]:
-        with self._mutex:
-            self._refresh()
-            if self._index is not None:
-                try:
-                    return {
-                        "detection": self._index.count("detection"),
-                        "privacy": self._index.count("privacy"),
-                    }
-                except SQLITE_ERRORS:
-                    self._disable_index()
-            return {"detection": len(self._detections), "privacy": len(self._privacy)}
-
-    def index_stats(self) -> Dict[str, object]:
-        """Sidecar health counters (for stats endpoints and benchmarks)."""
-        with self._mutex:
-            return {
-                "enabled": self._index is not None,
-                "full_scans": self.full_scans,
-                "index_hits": self.index_hits,
-                "index_misses": self.index_misses,
-            }
-
-    def close(self) -> None:
-        with self._mutex:
-            if not self._handle.closed:
-                # Final sync: advance the index through EOF so the next
-                # open starts at the watermark instead of re-scanning.
-                self._refresh()
-                self._handle.close()
-            index, self._index = self._index, None
-            if index is not None:
-                try:
-                    index.close()
-                except SQLITE_ERRORS:  # pragma: no cover - best-effort
-                    pass
-
-    def __enter__(self) -> "VerdictStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# -- compaction (``repro store compact``) ------------------------------------------
+        counted = self._log.counts()
+        return {kind: counted.get(kind, 0) for kind in ("detection", "privacy")}
 
 
 def compact_store(path: Union[str, Path]) -> Dict[str, int]:
-    """Garbage-collect a store file in place and rebuild its sidecar index.
-
-    Drops duplicate ``(kind, digest)`` publishes (keeping the *first*,
-    matching the fold rule), corrupt interior lines, and any crash-torn
-    tail, then rewrites the surviving lines byte-identically -- so every
-    lookup answers exactly as before, from a smaller file.  The rewrite
-    happens under the exclusive flock via seek+truncate rather than an
-    atomic rename: sibling ``O_APPEND`` handles keep pointing at the same
-    inode, but their scan offsets go stale, so run compaction **offline**
-    (no live readers or writers on the path).
+    """Garbage-collect a store file in place (:meth:`AppendLog.compact`).
 
     Returns ``{"entries", "dropped_duplicates", "dropped_corrupt",
     "bytes_before", "bytes_after"}``.
     """
-    path = Path(path)
-    if not path.exists():
-        raise StoreError("{}: no such store".format(path))
-    with path.open("r+b") as handle:
-        with _file_lock(handle, exclusive=True):
-            data = handle.read()
-            if not data:
-                raise StoreError("{}: no store header found".format(path))
-            lines = data.splitlines(keepends=True)
-            dropped_corrupt = 0
-            if lines and not lines[-1].endswith(b"\n"):
-                dropped_corrupt += 1  # crash-torn tail
-                lines = lines[:-1]
-            if not lines:
-                raise StoreError("{}: no store header found".format(path))
-            try:
-                header = json.loads(lines[0])
-            except json.JSONDecodeError:
-                header = None
-            if not isinstance(header, dict) or header.get("kind") != "header":
-                raise StoreError("{}: no store header found".format(path))
-            if header.get("version") != STORE_VERSION:
-                raise StoreError(
-                    "{}: unsupported store version {}".format(path, header.get("version"))
-                )
-            kept = [lines[0]]
-            rows: List[Tuple[str, str, int]] = []
-            seen = set()
-            dropped_duplicates = 0
-            offset = len(lines[0])
-            for raw in lines[1:]:
-                try:
-                    entry = json.loads(raw)
-                except json.JSONDecodeError:
-                    dropped_corrupt += 1
-                    continue
-                if not isinstance(entry, dict):
-                    dropped_corrupt += 1
-                    continue
-                kind = entry.get("kind")
-                if kind not in ("detection", "privacy") or "digest" not in entry:
-                    dropped_corrupt += 1
-                    continue
-                key = (kind, entry["digest"])
-                if key in seen:
-                    dropped_duplicates += 1
-                    continue
-                seen.add(key)
-                rows.append((kind, entry["digest"], offset))
-                kept.append(raw)
-                offset += len(raw)
-            compacted = b"".join(kept)
-            if len(compacted) != len(data):
-                handle.seek(0)
-                handle.write(compacted)
-                handle.truncate(len(compacted))
-                handle.flush()
-            if sqlite_available():
-                try:
-                    index = StoreIndex(
-                        index_path(path), str(header.get("fingerprint")), len(compacted)
-                    )
-                    index.rebuild(rows, len(compacted))
-                    index.close()
-                except SQLITE_ERRORS:  # pragma: no cover - index is derived data
-                    pass  # a stale sidecar self-heals on the next open
-    return {
-        "entries": len(rows),
-        "dropped_duplicates": dropped_duplicates,
-        "dropped_corrupt": dropped_corrupt,
-        "bytes_before": len(data),
-        "bytes_after": len(compacted),
-    }
+    stats = AppendLog.compact(
+        path, partial(_check_header, Path(path), None), StoreError, key=_key
+    )
+    stats["entries"] = stats.pop("kept")
+    del stats["dropped_legacy"]
+    return stats

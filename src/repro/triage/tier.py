@@ -14,18 +14,20 @@ Two invariants keep triage safe:
   on.
 - **hard-example harvesting** -- every undecided (fall-through) app runs
   the full pipeline anyway, and its tier-1 label is appended to a
-  ``<model>.harvest.jsonl`` sidecar (flock'd, multi-process safe) that
-  the next ``repro triage train --harvest`` folds back in.
+  ``<model>.harvest.jsonl`` sidecar (appended through
+  :func:`~repro.store.log.repair_and_append`, so it is multi-process safe
+  and survives a sibling killed mid-line) that the next ``repro triage
+  train --harvest`` folds back in.
 """
 
 from __future__ import annotations
 
-import fcntl
 import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.static_analysis.malware.droidnative import Detection
+from repro.store.log import complete_lines, repair_and_append
 from repro.triage.fingerprint import TriageFingerprint, fingerprint_session
 from repro.triage.model import TriageError, TriageModel
 
@@ -158,13 +160,7 @@ class TriageGate:
             },
         }
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(self.harvest_path, "a", encoding="utf-8") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(line)
-                handle.flush()
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        repair_and_append(self.harvest_path, line.encode("utf-8"))
 
 
 def load_harvest(path: str):
@@ -172,20 +168,15 @@ def load_harvest(path: str):
     tolerant: a partial final line from a killed writer is skipped)."""
     from repro.triage.fingerprint import vectorize
 
-    samples = []
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                samples.append(
-                    (vectorize(record["features"]), int(record["label"]))
-                )
+        lines = complete_lines(path)
     except OSError:
         return []
+    samples = []
+    for line in lines:
+        try:
+            record = json.loads(line)
+        except ValueError:
+            continue  # blank or corrupt: harvested data is only a hint
+        samples.append((vectorize(record["features"]), int(record["label"])))
     return samples

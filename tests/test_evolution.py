@@ -1,6 +1,7 @@
 """The longitudinal evolution subsystem: lineages, warehouse, differ, runner."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -223,16 +224,6 @@ class TestSnapshotWarehouse:
             assert not warehouse.append(app)
             assert len(warehouse) == 1
 
-    def test_sealed_open_uses_trailing_index(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        with SnapshotWarehouse(path) as warehouse:
-            warehouse.append(analysis(version_code=1))
-            warehouse.append(analysis(version_code=5))
-        with SnapshotWarehouse(path) as warehouse:
-            assert warehouse.fast_opened
-            assert warehouse.versions("com.example.app") == [1, 5]
-            assert warehouse.get_analysis("com.example.app", 5).version_code == 5
-
     def test_read_only_open_does_not_grow_the_file(self, tmp_path):
         path = tmp_path / "w.jsonl"
         with SnapshotWarehouse(path) as warehouse:
@@ -241,33 +232,6 @@ class TestSnapshotWarehouse:
         with SnapshotWarehouse(path):
             pass
         assert path.stat().st_size == size
-
-    def test_torn_tail_is_sealed_and_skipped(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        with SnapshotWarehouse(path) as warehouse:
-            warehouse.append(analysis(version_code=1))
-        with path.open("ab") as handle:
-            handle.write(b'{"kind": "snapshot", "package": "com.torn')
-        with SnapshotWarehouse(path) as warehouse:
-            # the crash debris never surfaces as a snapshot...
-            assert warehouse.packages() == ["com.example.app"]
-        with SnapshotWarehouse(path) as warehouse:
-            # ...and the reopened file stays readable (tail was sealed).
-            assert warehouse.packages() == ["com.example.app"]
-
-    def test_torn_tail_after_unsealed_snapshot_forces_full_scan(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        with SnapshotWarehouse(path) as warehouse:
-            warehouse.append(analysis(version_code=1))
-        with SnapshotWarehouse(path) as warehouse:
-            warehouse.append(analysis(version_code=2))
-            warehouse._sealed = True  # crash before sealing: no index update
-        with path.open("ab") as handle:
-            handle.write(b'{"kind": "snapshot", "package": "com.torn')
-        with SnapshotWarehouse(path) as warehouse:
-            assert not warehouse.fast_opened
-            assert warehouse.corrupt_lines >= 1
-            assert warehouse.versions("com.example.app") == [1, 2]
 
     def test_append_after_seal_invalidates_fast_path(self, tmp_path):
         path = tmp_path / "w.jsonl"
@@ -284,7 +248,7 @@ class TestSnapshotWarehouse:
         second = SnapshotWarehouse(path)
         first.append(analysis(package="com.a", version_code=1))
         second.append(analysis(package="com.b", version_code=1))
-        first.close()  # must fold com.b into its index, not drop it
+        first.close()  # com.b, appended by a sibling, must survive
         second.close()
         with SnapshotWarehouse(path) as warehouse:
             assert warehouse.packages() == ["com.a", "com.b"]
@@ -295,9 +259,31 @@ class TestSnapshotWarehouse:
         with pytest.raises(WarehouseError):
             SnapshotWarehouse(path)
 
+    def test_failed_append_leaves_no_key_behind(self, tmp_path, monkeypatch):
+        import repro.store.log as log_module
+
+        app = analysis(version_code=3)
+        with SnapshotWarehouse(tmp_path / "w.jsonl") as warehouse:
+
+            def disk_full(fd, data, offset=None):
+                raise OSError(28, "No space left on device")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(log_module, "_write", disk_full)
+                with pytest.raises(OSError):
+                    warehouse.append(app)
+            assert (app.package, 3) not in warehouse and len(warehouse) == 0
+            assert warehouse.append(app)  # the retry stores it
+            assert (app.package, 3) in warehouse
+            assert warehouse.get(app.package, 3)["package"] == app.package
+
+
+def _unavailable_sqlite(*args, **kwargs):
+    raise sqlite3.OperationalError("unable to open database file")
+
 
 class TestWarehouseSidecar:
-    """The sqlite sidecar: cheap reopen even after an *unsealed* crash."""
+    """The sqlite sidecar: cheap reopen even after a crashed writer."""
 
     def test_sealed_reopen_uses_sidecar(self, tmp_path):
         from repro.store import sqlite_available
@@ -308,8 +294,7 @@ class TestWarehouseSidecar:
         with SnapshotWarehouse(path) as warehouse:
             warehouse.append(analysis(version_code=1))
         with SnapshotWarehouse(path) as warehouse:
-            assert warehouse.sidecar_opened
-            assert warehouse.fast_opened
+            assert warehouse.full_scans == 0
             assert warehouse.versions("com.example.app") == [1]
 
     def test_unsealed_crash_scans_only_the_tail(self, tmp_path):
@@ -320,28 +305,30 @@ class TestWarehouseSidecar:
         path = tmp_path / "w.jsonl"
         with SnapshotWarehouse(path) as warehouse:
             warehouse.append(analysis(version_code=1))
-            warehouse.append(analysis(version_code=2))
-            # crash: no seal() -- suppress the trailing-index write
-            warehouse._sealed = True
-            warehouse._drop_sidecar()
-            warehouse._handle.close()
+        # a writer died between its JSONL append and its sidecar commit
+        line = path.read_bytes().splitlines(keepends=True)[1]
+        with path.open("ab") as handle:
+            handle.write(line.replace(b'"version_code": 1', b'"version_code": 2'))
         with SnapshotWarehouse(path) as warehouse:
-            # the trailing index is absent, but the sidecar's watermark
-            # covers both appends: open reads nothing but the header.
-            assert warehouse.sidecar_opened
+            # the sidecar's watermark covers v1: open scans only the tail
+            assert warehouse.full_scans == 0
             assert warehouse.versions("com.example.app") == [1, 2]
+        with SnapshotWarehouse(path) as warehouse:
+            assert warehouse.full_scans == 0  # and the tail is indexed now
+            assert warehouse.counts() == {"com.example.app": 2}
 
-    def test_without_sidecar_behaves_as_before(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        with SnapshotWarehouse(path, index=False) as warehouse:
-            warehouse.append(analysis(version_code=1))
+    def test_without_sidecar_behaves_as_before(self, tmp_path, monkeypatch):
         from repro.store import index_path
 
+        monkeypatch.setattr(sqlite3, "connect", _unavailable_sqlite)
+        path = tmp_path / "w.jsonl"
+        with SnapshotWarehouse(path) as warehouse:
+            warehouse.append(analysis(version_code=1))
         assert not index_path(path).exists()
-        with SnapshotWarehouse(path, index=False) as warehouse:
-            assert not warehouse.sidecar_opened
-            assert warehouse.fast_opened  # trailing index still works
+        with SnapshotWarehouse(path) as warehouse:
+            assert warehouse.full_scans == 1  # the scan the sidecar saves
             assert warehouse.versions("com.example.app") == [1]
+            assert warehouse.get_analysis("com.example.app", 1).version_code == 1
 
     def test_counts_come_from_the_sidecar(self, tmp_path):
         from repro.store import sqlite_available
@@ -354,7 +341,7 @@ class TestWarehouseSidecar:
             warehouse.append(analysis(package="com.a", version_code=2))
             warehouse.append(analysis(package="com.b", version_code=1))
         with SnapshotWarehouse(path) as warehouse:
-            assert warehouse.sidecar_opened
+            assert warehouse.full_scans == 0
             assert warehouse.counts() == {"com.a": 2, "com.b": 1}
 
     def test_warm_open_never_full_scans(self, tmp_path):
@@ -373,19 +360,15 @@ class TestWarehouseSidecar:
             assert warehouse.versions("com.a") == [1]
             assert warehouse.full_scans == 0
 
-    def test_cold_open_without_any_index_scans_once(self, tmp_path):
+    def test_cold_open_without_any_index_scans_once(self, tmp_path, monkeypatch):
         from repro.store import index_path
 
         path = tmp_path / "w.jsonl"
         with SnapshotWarehouse(path) as warehouse:
             warehouse.append(analysis(package="com.a", version_code=1))
-            # crash: no seal (no trailing index), and the sidecar is gone.
-            warehouse._sealed = True
-            warehouse._drop_sidecar()
-            warehouse._handle.close()
-        if index_path(path).exists():
-            index_path(path).unlink()
-        with SnapshotWarehouse(path, index=False) as warehouse:
+        index_path(path).unlink()
+        monkeypatch.setattr(sqlite3, "connect", _unavailable_sqlite)
+        with SnapshotWarehouse(path) as warehouse:
             assert warehouse.full_scans == 1
             assert warehouse.counts() == {"com.a": 1}
 
@@ -397,14 +380,11 @@ class TestCompactWarehouse:
         path = tmp_path / "w.jsonl"
         with SnapshotWarehouse(path) as warehouse:
             warehouse.append(analysis(package="com.a", version_code=1))
-        with SnapshotWarehouse(path) as warehouse:  # leaves interior index
             warehouse.append(analysis(package="com.b", version_code=1))
             expected = warehouse.get("com.a", 1)
-        duplicate = None
-        for raw in path.read_bytes().splitlines(keepends=True):
-            entry = json.loads(raw)
-            if entry.get("kind") == "snapshot" and entry["package"] == "com.a":
-                duplicate = raw
+        header, duplicate, rest = path.read_bytes().splitlines(keepends=True)
+        # an interior index line, as warehouses from before the sidecar have
+        path.write_bytes(header + duplicate + b'{"entries": {}, "kind": "index"}\n' + rest)
         with path.open("ab") as handle:
             handle.write(duplicate)
             handle.write(b"junk line\n")
@@ -416,7 +396,7 @@ class TestCompactWarehouse:
         assert stats["dropped_index_lines"] >= 1
         assert stats["bytes_after"] < stats["bytes_before"]
         with SnapshotWarehouse(path) as warehouse:
-            assert warehouse.fast_opened or warehouse.sidecar_opened
+            assert warehouse.full_scans == 0  # compaction rebuilt the sidecar
             assert warehouse.packages() == ["com.a", "com.b"]
             assert warehouse.get("com.a", 1) == expected
         assert compact_warehouse(path)["bytes_after"] == stats["bytes_after"]

@@ -267,33 +267,6 @@ class TestResultJournal:
         with pytest.raises(ServicePersistError, match="different pipeline"):
             ResultJournal(path, other)
 
-    def test_double_restart_after_torn_tail(self, tmp_path):
-        """Restart after a torn write, append, restart again: no corruption.
-
-        The journal used to reopen in append mode with the torn fragment
-        still in place, so the first post-restart append concatenated onto
-        it and the *second* restart rejected the file.  The torn tail is
-        now truncated before reopening.
-        """
-        path = tmp_path / "service.jsonl"
-        journal = ResultJournal(path, pipeline_config())
-        journal.append_result("k1", "d1", "p1", 0.5, {})
-        journal.append_result("k2", "d2", "p2", 0.5, {})
-        journal.close()
-        content = path.read_bytes()
-        path.write_bytes(content[:-7])  # kill mid-write of the d2 record
-
-        second = ResultJournal(path, pipeline_config())
-        assert [e["digest"] for e in second.restored] == ["d1"]
-        second.append_result("k3", "d3", "p3", 0.5, {})
-        second.close()
-
-        third = ResultJournal(path, pipeline_config())
-        assert [e["digest"] for e in third.restored] == ["d1", "d3"]
-        third.close()
-        for line in path.read_text().splitlines():
-            json.loads(line)  # every surviving line is complete JSON
-
     def test_incomplete_entry_names_file_and_line(self, tmp_path):
         path = tmp_path / "service.jsonl"
         journal = ResultJournal(path, pipeline_config())

@@ -1,6 +1,7 @@
 """The cross-process verdict store: tiers, fingerprints, fleet-wide dedup."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -156,32 +157,21 @@ class TestVerdictStore:
         with VerdictStore(path, pipeline_config()) as store:
             assert store.get_detection("d1") == (True, None)
             assert store.get_detection("d2") == (False, None)
-            # the junk line plus the torn tail, which open() seals with a
-            # newline so later appends cannot concatenate onto it
-            assert store.corrupt_lines == 2
+            # the junk line only: open() cuts the torn tail off, so later
+            # appends cannot concatenate onto it
+            assert store.corrupt_lines == 1
             # the cache heals itself: recomputing d2 appends a fresh line
             store.put_detection("d2", DETECTION)
         with VerdictStore(path, pipeline_config()) as store:
             assert store.get_detection("d2") == (True, DETECTION)
 
-    def test_publish_seals_siblings_torn_tail(self, tmp_path):
-        """Regression: ``_publish`` must seal a crash-torn tail before
-        appending, or its line concatenates onto the debris and *both*
-        records become one corrupt line."""
-        path = tmp_path / "s.jsonl"
-        with VerdictStore(path, pipeline_config()) as survivor:
-            # a sibling process died mid-append: torn line, no newline
-            with path.open("a") as handle:
-                handle.write('{"kind": "detection", "digest": "dX"')
-            survivor.put_detection("d1", DETECTION)
-        # index=False forces a full scan, so corrupt_lines is observable
-        with VerdictStore(path, pipeline_config(), index=False) as store:
-            assert store.get_detection("d1") == (True, DETECTION)
-            assert store.counts() == {"detection": 1, "privacy": 0}
-            assert store.corrupt_lines == 1  # only the sealed debris
-
 
 # -- unit: the sqlite sidecar index ------------------------------------------------
+
+
+def _unavailable_sqlite(*args, **kwargs):
+    raise sqlite3.OperationalError("unable to open database file")
+
 
 
 @pytest.mark.skipif(not sqlite_available(), reason="sqlite3 unavailable")
@@ -189,7 +179,7 @@ class TestStoreSidecarIndex:
     def test_warm_open_does_zero_full_scans(self, tmp_path):
         path = tmp_path / "s.jsonl"
         with VerdictStore(path, pipeline_config()) as store:
-            assert store.full_scans == 1  # cold: no sidecar yet
+            assert store.full_scans == 0  # cold: it wrote the header itself
             store.put_detection("d1", DETECTION)
             store.put_privacy("d1", (LEAK,))
         with VerdictStore(path, pipeline_config()) as store:
@@ -236,12 +226,13 @@ class TestStoreSidecarIndex:
             assert store.get_detection("d1") == (True, DETECTION)
             assert store.get_detection("d2") == (False, None)
 
-    def test_index_disabled_still_works(self, tmp_path):
+    def test_index_disabled_still_works(self, tmp_path, monkeypatch):
         path = tmp_path / "s.jsonl"
-        with VerdictStore(path, pipeline_config(), index=False) as store:
+        monkeypatch.setattr(sqlite3, "connect", _unavailable_sqlite)
+        with VerdictStore(path, pipeline_config()) as store:
             store.put_detection("d1", DETECTION)
             assert not store.index_stats()["enabled"]
-        with VerdictStore(path, pipeline_config(), index=False) as store:
+        with VerdictStore(path, pipeline_config()) as store:
             assert store.get_detection("d1") == (True, DETECTION)
             assert store.full_scans == 1
             assert not index_path(path).exists()
@@ -499,11 +490,13 @@ class TestStoreCli:
             warehouse.append(
                 {"package": "com.a", "metadata": {"version_code": 1}}
             )
-        # appending after a seal leaves a stale interior index line behind
-        with SnapshotWarehouse(path) as warehouse:
             warehouse.append(
                 {"package": "com.b", "metadata": {"version_code": 1}}
             )
+        # warehouses from before the sidecar carry in-file index lines
+        lines = path.read_bytes().splitlines(keepends=True)
+        index_line = b'{"entries": {}, "kind": "index"}\n'
+        path.write_bytes(b"".join(lines[:2] + [index_line] + lines[2:] + [index_line]))
         assert main(["store", "compact", str(path), "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["kind"] == "warehouse"
