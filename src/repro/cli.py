@@ -100,6 +100,48 @@ def _add_observe_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_farm_run_flags(parser: argparse.ArgumentParser) -> None:
+    """What one farm run is: the flags ``farm run`` and ``farm serve`` share."""
+    parser.add_argument("--apps", type=int, default=600, help="corpus size")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--shards", type=int, default=None,
+                        help="shard count (default: 4x workers; 8 for serve)")
+    parser.add_argument("--shard-strategy", default="contiguous",
+                        choices=["contiguous", "round-robin"])
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="per-app analysis deadline in seconds")
+    parser.add_argument("--max-retries", type=int, default=2,
+                        help="per-app retries before quarantine")
+    parser.add_argument("--checkpoint", metavar="FILE",
+                        help="append-only JSONL journal of settled apps "
+                             "(coordinator-owned; workers never touch it)")
+    parser.add_argument("--resume", action="store_true",
+                        help="skip apps already settled in --checkpoint")
+    parser.add_argument("--verdict-store", metavar="FILE",
+                        help="shared verdict store: each distinct payload "
+                             "digest is analyzed once fleet-wide")
+    parser.add_argument("--triage-model", metavar="FILE", default="",
+                        help="enable the tier-0 triage gate with this "
+                             "trained model (see `triage train`)")
+    parser.add_argument("--triage-threshold", type=float, default=0.0,
+                        help="confidence bar for tier-0 short-circuits "
+                             "(default: {})".format(DEFAULT_THRESHOLD))
+    parser.add_argument("--metrics-out", metavar="FILE",
+                        help="write the JSON metrics summary here")
+    parser.add_argument("--train", type=int, default=3,
+                        help="DroidNative samples per family")
+    parser.add_argument("--no-replays", action="store_true",
+                        help="skip Table VIII replays")
+    parser.add_argument(
+        "--table",
+        default="all",
+        choices=["all"] + sorted(TABLE_RENDERERS),
+        help="which table to print",
+    )
+    parser.add_argument("--json", action="store_true",
+                        help="emit the full serialized report as JSON")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dydroid",
@@ -150,45 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     farm_run = farm_sub.add_parser(
         "run", help="measure a seeded corpus across a worker pool"
     )
-    farm_run.add_argument("--apps", type=int, default=600, help="corpus size")
-    farm_run.add_argument("--seed", type=int, default=7)
     farm_run.add_argument("--workers", type=int, default=2,
                           help="worker processes; 1 runs in-process")
-    farm_run.add_argument("--shards", type=int, default=None,
-                          help="shard count (default: 4x workers)")
-    farm_run.add_argument("--shard-strategy", default="contiguous",
-                          choices=["contiguous", "round-robin"])
-    farm_run.add_argument("--timeout", type=float, default=None,
-                          help="per-app analysis deadline in seconds")
-    farm_run.add_argument("--max-retries", type=int, default=2,
-                          help="per-app retries before quarantine")
-    farm_run.add_argument("--checkpoint", metavar="FILE",
-                          help="append-only JSONL journal of settled apps")
-    farm_run.add_argument("--resume", action="store_true",
-                          help="skip apps already settled in --checkpoint")
-    farm_run.add_argument("--verdict-store", metavar="FILE",
-                          help="shared verdict store: each distinct payload "
-                               "digest is analyzed once fleet-wide")
-    farm_run.add_argument("--triage-model", metavar="FILE", default="",
-                          help="enable the tier-0 triage gate with this "
-                               "trained model (see `triage train`)")
-    farm_run.add_argument("--triage-threshold", type=float, default=0.0,
-                          help="confidence bar for tier-0 short-circuits "
-                               "(default: {})".format(DEFAULT_THRESHOLD))
-    farm_run.add_argument("--metrics-out", metavar="FILE",
-                          help="write the JSON metrics summary here")
-    farm_run.add_argument("--train", type=int, default=3,
-                          help="DroidNative samples per family")
-    farm_run.add_argument("--no-replays", action="store_true",
-                          help="skip Table VIII replays")
-    farm_run.add_argument(
-        "--table",
-        default="all",
-        choices=["all"] + sorted(TABLE_RENDERERS),
-        help="which table to print",
-    )
-    farm_run.add_argument("--json", action="store_true",
-                          help="emit the full serialized report as JSON")
+    _add_farm_run_flags(farm_run)
     farm_run.add_argument("--telemetry-dir", metavar="DIR",
                           help="live telemetry directory: per-shard flight "
                                "recordings, heartbeats, and status.json "
@@ -206,44 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     farm_serve.add_argument("--lease", type=float, default=15.0,
                             help="shard lease seconds; a worker that stops "
                                  "renewing for this long loses its shard")
-    farm_serve.add_argument("--apps", type=int, default=600, help="corpus size")
-    farm_serve.add_argument("--seed", type=int, default=7)
-    farm_serve.add_argument("--shards", type=int, default=None,
-                            help="shard count (default: 8)")
-    farm_serve.add_argument("--shard-strategy", default="contiguous",
-                            choices=["contiguous", "round-robin"])
-    farm_serve.add_argument("--timeout", type=float, default=None,
-                            help="per-app analysis deadline in seconds")
-    farm_serve.add_argument("--max-retries", type=int, default=2,
-                            help="per-app retries before quarantine")
-    farm_serve.add_argument("--checkpoint", metavar="FILE",
-                            help="append-only JSONL journal of settled apps "
-                                 "(coordinator-owned; workers never touch it)")
-    farm_serve.add_argument("--resume", action="store_true",
-                            help="skip apps already settled in --checkpoint")
-    farm_serve.add_argument("--verdict-store", metavar="FILE",
-                            help="shared verdict store: each distinct payload "
-                                 "digest is analyzed once fleet-wide")
-    farm_serve.add_argument("--triage-model", metavar="FILE", default="",
-                            help="enable the tier-0 triage gate with this "
-                                 "trained model (see `triage train`)")
-    farm_serve.add_argument("--triage-threshold", type=float, default=0.0,
-                            help="confidence bar for tier-0 short-circuits "
-                                 "(default: {})".format(DEFAULT_THRESHOLD))
-    farm_serve.add_argument("--metrics-out", metavar="FILE",
-                            help="write the JSON metrics summary here")
-    farm_serve.add_argument("--train", type=int, default=3,
-                            help="DroidNative samples per family")
-    farm_serve.add_argument("--no-replays", action="store_true",
-                            help="skip Table VIII replays")
-    farm_serve.add_argument(
-        "--table",
-        default="all",
-        choices=["all"] + sorted(TABLE_RENDERERS),
-        help="which table to print",
-    )
-    farm_serve.add_argument("--json", action="store_true",
-                            help="emit the full serialized report as JSON")
+    _add_farm_run_flags(farm_serve)
     _add_observe_flags(farm_serve)
 
     farm_join = farm_sub.add_parser(
@@ -628,26 +597,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _farm_pipeline_config(args: argparse.Namespace) -> DyDroidConfig:
-    return DyDroidConfig(
-        train_samples_per_family=args.train, run_replays=not args.no_replays,
-        triage_model=args.triage_model,
-        triage_threshold=args.triage_threshold,
-    )
-
-
-def _farm_check_triage(args: argparse.Namespace, verb: str) -> None:
-    if args.triage_model:
-        # fail fast here rather than quarantining every app when each
-        # worker process discovers the broken model on its own.
-        from repro.triage import TriageError, TriageModel
-
-        try:
-            TriageModel.load(args.triage_model)
-        except TriageError as exc:
-            raise SystemExit("{}: {}".format(verb, exc))
-
-
 def _print_farm_result(result, args: argparse.Namespace, label: str) -> None:
     """The shared tail of ``farm run`` and ``farm serve``: tables, quarantine
     lines, metrics/trace files, one summary line."""
@@ -681,26 +630,45 @@ def _print_farm_result(result, args: argparse.Namespace, label: str) -> None:
     )
 
 
-def _cmd_farm_run(args: argparse.Namespace) -> int:
-    from repro.farm import CheckpointError, FarmConfig, run_farm
-    from repro.store import StoreError
+def _farm_config(args: argparse.Namespace, verb: str, **extra):
+    """The :class:`FarmConfig` of the flags ``farm run`` and ``farm serve``
+    share.  A broken ``--triage-model`` fails fast here rather than
+    quarantining every app when each worker process discovers it."""
+    from repro.farm import FarmConfig
 
-    config = FarmConfig(
+    if args.triage_model:
+        from repro.triage import TriageError, TriageModel
+
+        try:
+            TriageModel.load(args.triage_model)
+        except TriageError as exc:
+            raise SystemExit("{}: {}".format(verb, exc))
+    return FarmConfig(
         n_apps=args.apps,
         corpus_seed=args.seed,
-        workers=args.workers,
         n_shards=args.shards,
         shard_strategy=args.shard_strategy,
         timeout_s=args.timeout,
         max_retries=args.max_retries,
         checkpoint=args.checkpoint,
         resume=args.resume,
-        pipeline=_farm_pipeline_config(args),
+        pipeline=DyDroidConfig(
+            train_samples_per_family=args.train, run_replays=not args.no_replays,
+            triage_model=args.triage_model, triage_threshold=args.triage_threshold,
+        ),
         trace=bool(args.trace_out),
         verdict_store=args.verdict_store,
-        telemetry_dir=args.telemetry_dir,
+        **extra,
     )
-    _farm_check_triage(args, "farm run")
+
+
+def _cmd_farm_run(args: argparse.Namespace) -> int:
+    from repro.farm import CheckpointError, run_farm
+    from repro.store import StoreError
+
+    config = _farm_config(
+        args, "farm run", workers=args.workers, telemetry_dir=args.telemetry_dir
+    )
     try:
         result = run_farm(config)
     except (CheckpointError, StoreError, ValueError) as exc:
@@ -710,23 +678,10 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_farm_serve(args: argparse.Namespace) -> int:
-    from repro.farm import CheckpointError, FarmConfig, FarmCoordinator
+    from repro.farm import CheckpointError, FarmCoordinator
     from repro.store import StoreError
 
-    config = FarmConfig(
-        n_apps=args.apps,
-        corpus_seed=args.seed,
-        n_shards=args.shards,
-        shard_strategy=args.shard_strategy,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
-        pipeline=_farm_pipeline_config(args),
-        trace=bool(args.trace_out),
-        verdict_store=args.verdict_store,
-    )
-    _farm_check_triage(args, "farm serve")
+    config = _farm_config(args, "farm serve")
     try:
         coordinator = FarmCoordinator(
             config, host=args.host, port=args.port, lease_s=args.lease
@@ -741,7 +696,7 @@ def _cmd_farm_serve(args: argparse.Namespace) -> int:
             coordinator.port,
             args.apps,
             snapshot["pending"],
-            coordinator._resumed_apps,
+            coordinator.run.resumed_apps,
             args.lease,
         ),
         file=sys.stderr,

@@ -12,8 +12,9 @@ review-then-swap threat model actually turns on.  It provides:
   of two snapshots of the same app;
 - :mod:`repro.evolution.timelines` -- fleet-level evolution statistics;
 - :mod:`repro.evolution.runner` -- the ``repro evolve run`` coordinator,
-  which walks versions oldest-first over the farm's executors with a
-  shared verdict store so unchanged payloads are analyzed exactly once.
+  which leases every version's shards, oldest first, through the farm's
+  lease loop with a shared verdict store, so unchanged payloads are
+  reused rather than re-analyzed.
 """
 
 from repro.evolution.differ import (

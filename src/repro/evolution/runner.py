@@ -13,8 +13,12 @@ Versions are walked **oldest first** -- that ordering is what turns the
 shared verdict store into cross-version dedup: version k's workers find
 every payload digest that survived from versions 1..k-1 already
 published, so only *changed* payloads ever reach DroidNative/FlowDroid.
-Within one version, apps fan out across the farm's executor exactly like
-a farm run (sync in-process for ``workers <= 1``, a process pool above).
+Every version's shards sit on one lease ledger, version-major, and drain
+through the farm's lease loop (:mod:`repro.farm.lease`) exactly like a
+farm run; version k folds once versions 1..k are complete, so workers do
+not idle at version boundaries.  A version-(k+1) shard running beside a
+version-k one may re-analyze a payload the other has not published yet;
+the store keeps the first write, so outputs do not change.
 
 After the last version the coordinator diffs every adjacent snapshot
 pair (timed into the ``stage.diff`` histogram, bucketed into
@@ -23,8 +27,9 @@ pair (timed into the ``stage.diff`` histogram, bucketed into
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import as_completed
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -34,8 +39,8 @@ from repro.evolution.differ import SnapshotDiff, diff_analyses, diff_digest
 from repro.evolution.lineage import LineageSpec
 from repro.evolution.timelines import FleetTimeline, build_timeline
 from repro.evolution.warehouse import SnapshotWarehouse
-from repro.evolution.worker import LineageShardJob, run_lineage_shard
-from repro.farm.executors import create_executor
+from repro.evolution.worker import LineageShardJob, LineageShardResult, run_lineage_shard
+from repro.farm.lease import LOCAL, WORKER_DIED, LeaseEntry, ShardLedger, run_leases
 from repro.farm.merger import merge_serialized
 from repro.farm.shards import plan_shards
 from repro.observe.merge import merge_span_lists
@@ -89,23 +94,78 @@ class EvolveResult:
         return diff_digest(self.diffs)
 
 
-def _version_jobs(config: EvolveConfig, version: int) -> List[LineageShardJob]:
-    shards = plan_shards(config.n_apps, config.planned_shards())
-    return [
-        LineageShardJob(
-            shard_id=shard.shard_id,
-            seed=config.seed,
-            n_apps=config.n_apps,
-            n_versions=config.n_versions,
-            version=version,
-            indices=shard.indices,
-            config=config.pipeline,
-            spec=config.spec,
-            trace=config.trace,
-            verdict_store=config.verdict_store,
-        )
-        for shard in shards
-    ]
+class _Versions:
+    """Every version's shards on one lease ledger, version-major.
+
+    The lessee :func:`run_leases` drives.  Version *k* folds -- merged
+    report, warehouse appends, history, ``stage.version`` -- once
+    versions 1..k are all complete, so no output depends on the worker
+    count, and no worker idles at a version boundary.  A single app that
+    kills its worker process raises: a run never returns with a snapshot
+    missing.
+    """
+
+    def __init__(self, config: EvolveConfig, registry: MetricsRegistry, warehouse) -> None:
+        jobs = [
+            LineageShardJob(
+                shard_id=shard.shard_id, seed=config.seed, n_apps=config.n_apps,
+                n_versions=config.n_versions, version=version, indices=shard.indices,
+                config=config.pipeline, spec=config.spec, trace=config.trace,
+                verdict_store=config.verdict_store,
+            )
+            for version in range(1, config.n_versions + 1)
+            for shard in plan_shards(config.n_apps, config.planned_shards())
+        ]
+        self.ledger = ShardLedger(jobs, lease_s=math.inf)
+        self._config = config
+        self._registry = registry
+        self._warehouse = warehouse
+        #: version -> corpus index -> serialized analysis, until folded.
+        self._analyses: Dict[int, Dict[int, Dict[str, object]]] = defaultdict(dict)
+        self.reports: List[MeasurementReport] = []
+        #: package -> analyses, oldest version first (diff/timeline input).
+        self.history: Dict[str, List[AppAnalysis]] = {}
+        #: keyed by ledger entry, so the merged trace is the same at any
+        #: worker count.
+        self.shard_spans: List[Tuple[int, List[Dict[str, object]]]] = []
+        self._since = time.perf_counter()
+        self._fold_ready()  # an empty fleet has nothing to wait for
+
+    def lease(self) -> Optional[LeaseEntry]:
+        return self.ledger.lease(LOCAL)
+
+    def drained(self) -> bool:
+        return self.ledger.done()
+
+    def complete(self, entry_id: int, result: LineageShardResult) -> None:
+        self.ledger.complete(LOCAL, entry_id)
+        self._registry.merge_dict(result.metrics)
+        if result.spans:
+            self.shard_spans.append((entry_id, result.spans))
+        for app_result in result.results:
+            self._analyses[result.version][app_result.index] = app_result.analysis
+        self._fold_ready()
+
+    def fail(self, entry_id: int) -> None:
+        _, lost = self.ledger.fail(LOCAL, entry_id)
+        if lost:
+            raise RuntimeError("lineage {}: {}".format(lost[0], WORKER_DIED))
+
+    def _fold_ready(self) -> None:
+        while len(self.reports) < self._config.n_versions:
+            version = len(self.reports) + 1
+            if len(self._analyses[version]) < self._config.n_apps:
+                return
+            report = merge_serialized(self._analyses.pop(version))
+            self.reports.append(report)
+            for analysis in report.apps:
+                self.history.setdefault(analysis.package, []).append(analysis)
+                if self._warehouse is not None:
+                    self._warehouse.append(analysis)
+            self._registry.counter("evolution.versions").inc()
+            now = time.perf_counter()
+            self._registry.histogram("stage.version").record(now - self._since)
+            self._since = now
 
 
 def run_evolution(config: EvolveConfig) -> EvolveResult:
@@ -121,42 +181,13 @@ def run_evolution(config: EvolveConfig) -> EvolveResult:
     registry = MetricsRegistry()
     registry.gauge("evolution.workers").set(config.workers)
     warehouse = SnapshotWarehouse(config.warehouse) if config.warehouse else None
-    reports: List[MeasurementReport] = []
-    #: package -> analyses, oldest version first (diff/timeline input).
-    history: Dict[str, List[AppAnalysis]] = {}
-    shard_spans: List[Tuple[int, List[Dict[str, object]]]] = []
-    span_key = 0
-
     try:
-        with create_executor(config.workers) as executor:
-            for version in range(1, config.n_versions + 1):
-                version_started = time.perf_counter()
-                analyses: Dict[int, Dict[str, object]] = {}
-                pending = {
-                    executor.submit(run_lineage_shard, job): job
-                    for job in _version_jobs(config, version)
-                }
-                for future in as_completed(pending):
-                    shard_result = future.result()
-                    registry.merge_dict(shard_result.metrics)
-                    if shard_result.spans:
-                        shard_spans.append((span_key, shard_result.spans))
-                        span_key += 1
-                    for app_result in shard_result.results:
-                        analyses[app_result.index] = app_result.analysis
-                report = merge_serialized(analyses)
-                reports.append(report)
-                for analysis in report.apps:
-                    history.setdefault(analysis.package, []).append(analysis)
-                    if warehouse is not None:
-                        warehouse.append(analysis)
-                registry.counter("evolution.versions").inc()
-                registry.histogram("stage.version").record(
-                    time.perf_counter() - version_started
-                )
+        versions = _Versions(config, registry, warehouse)
+        run_leases(versions, run_lineage_shard, config.workers)
     finally:
         if warehouse is not None:
             warehouse.close()
+    reports, history = versions.reports, versions.history
 
     diffs: List[SnapshotDiff] = []
     for package in sorted(history):
@@ -195,5 +226,5 @@ def run_evolution(config: EvolveConfig) -> EvolveResult:
         diffs=diffs,
         timeline=timeline,
         metrics=metrics,
-        spans=merge_span_lists(shard_spans),
+        spans=merge_span_lists(versions.shard_spans),
     )

@@ -7,8 +7,8 @@ indices)`` -- no APK or analysis objects ever cross the process boundary
 inbound, and results leave already serialized (``AppAnalysis.to_dict``).
 
 Each worker opens (and owns) its own verdict-store handle from the path;
-``flock`` coordinates sibling shards, and because the runner walks
-versions oldest-first, version *k*'s workers find every unchanged payload
+``flock`` coordinates sibling shards, and because the runner leases
+versions oldest-first, version *k*'s workers find the unchanged payloads
 of versions 1..k-1 already published.
 """
 

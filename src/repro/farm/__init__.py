@@ -9,18 +9,20 @@ emulators; this package is that scheduling layer for the reproduction:
 - :mod:`repro.farm.worker`      -- per-shard analysis with per-app
   timeouts, bounded retry with backoff, and quarantine;
 - :mod:`repro.farm.executors`   -- process pool or synchronous in-process;
+- :mod:`repro.farm.lease`       -- the one scheduler: a lease ledger and
+  the loop leasing its shards to local worker slots;
 - :mod:`repro.farm.checkpoint`  -- append-only JSONL journal for resume;
 - :mod:`repro.farm.merger`      -- order-independent merge back into one
   :class:`~repro.core.report.MeasurementReport`;
 - :mod:`repro.farm.metrics`     -- throughput / latency / failure metrics;
 - :mod:`repro.farm.flight`      -- per-shard flight recorder, worker
   heartbeats, and the coordinator's live ``status.json``;
-- :mod:`repro.farm.coordinator` -- :func:`run_farm` gluing it all together;
-- :mod:`repro.farm.netcoord`    -- the coordinator as an HTTP service
-  (``repro farm serve``): a lease ledger workers pull shards from, with
-  expiry-driven re-queue of shards whose worker died;
-- :mod:`repro.farm.networker`   -- ``repro farm join``: lease, analyze
-  via :func:`run_shard`, renew from heartbeats, ship results back.
+- :mod:`repro.farm.coordinator` -- the run state (ledger, journal, fold,
+  result) and :func:`run_farm`, which leases it to local workers;
+- :mod:`repro.farm.netcoord`    -- the same run state over HTTP
+  (``repro farm serve``), re-queueing the shards of a silent join node;
+- :mod:`repro.farm.networker`   -- ``repro farm join``: the same lease
+  loop over HTTP, renewing from heartbeats and shipping results back.
 
 Determinism guarantee: for a fixed corpus seed and pipeline config, the
 merged report of any shard/worker configuration -- local pool or
@@ -50,7 +52,8 @@ from repro.farm.jobs import (
 )
 from repro.farm.merger import merge_reports, merge_serialized
 from repro.farm.metrics import FarmMetrics
-from repro.farm.netcoord import FarmCoordinator, LeaseEntry, ShardLedger
+from repro.farm.lease import LeaseEntry, ShardLedger
+from repro.farm.netcoord import FarmCoordinator
 from repro.farm.networker import FarmJoinError, JoinSummary, join_farm
 from repro.farm.shards import ShardSpec, plan_shards
 from repro.farm.worker import AppTimeoutError, run_shard

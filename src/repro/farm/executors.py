@@ -1,8 +1,9 @@
 """Executors: process-based for throughput, synchronous for tests.
 
 Both expose the subset of the :mod:`concurrent.futures` executor protocol
-the coordinator uses (``submit`` returning a real ``Future``, ``shutdown``,
-context manager), so ``as_completed`` works identically over either.
+the lease loop (:mod:`repro.farm.lease`) uses -- ``submit`` returning a
+real ``Future``, ``shutdown``, context manager -- so it waits on either
+the same way.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ which is how a joining worker proves it is analyzing the same run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import DyDroidConfig, EnvironmentConfig
@@ -101,16 +101,6 @@ class ShardResult:
     spans: List[Dict[str, object]] = field(default_factory=list)
     #: serialized worker registry (``MetricsRegistry.to_dict``).
     metrics: Dict[str, object] = field(default_factory=dict)
-
-
-def with_indices(job: ShardJob, indices: Tuple[int, ...]) -> ShardJob:
-    """The same job narrowed to a subset of its corpus indices.
-
-    Used when isolating poison: a shard whose worker died is re-dispatched
-    one app at a time so a single bad app cannot take siblings down with
-    it (both the local process farm and the network ledger reuse this).
-    """
-    return replace(job, indices=tuple(indices))
 
 
 # -- wire format (network farm) ----------------------------------------------------

@@ -1,13 +1,14 @@
 """The network farm coordinator: shard leases over HTTP for multi-node runs.
 
-``repro farm serve`` promotes the in-process coordinator of
-:mod:`repro.farm.coordinator` to a service any number of ``repro farm
-join`` workers (separate processes, separate hosts) can pull work from.
-The transport reuses the daemon's HTTP plumbing
-(:class:`repro.service.http.JsonRequestHandler` server-side,
-:class:`repro.service.client.ServiceClient` worker-side); the work
-distribution is a pull-based **lease ledger** rather than push
-assignment, which is what makes stealing and crash recovery natural:
+``repro farm serve`` puts the run state of :mod:`repro.farm.coordinator`
+(:class:`~repro.farm.coordinator.FarmRun`: ledger, journal, fold) behind
+HTTP, so any number of ``repro farm join`` workers (separate processes,
+separate hosts) can pull work from it.  The transport reuses the
+daemon's HTTP plumbing (:class:`repro.service.http.JsonRequestHandler`
+server-side, :class:`repro.service.client.ServiceClient` worker-side);
+the work distribution is the pull-based **lease ledger** of
+:mod:`repro.farm.lease`, which is what makes stealing and crash
+recovery natural:
 
 - ``POST /v1/lease``    -- a worker asks for work; the first pending
   shard is leased to it for ``lease_s`` seconds (work-stealing: whoever
@@ -19,20 +20,14 @@ assignment, which is what makes stealing and crash recovery natural:
   :class:`~repro.farm.jobs.ShardResult` as JSON; folding is
   first-completion-wins, so a late completion from a stale lease is
   discarded and every app index lands in the merged report exactly once;
-- ``POST /v1/fail``     -- the worker's local executor died on a shard;
-  the ledger re-queues it one app per shard (the same poison isolation
-  the local farm applies) or quarantines a single-app shard;
+- ``POST /v1/fail``     -- a worker process died on a shard; the ledger
+  re-queues it one app per shard or quarantines a single-app shard,
+  exactly as in a local run;
 - ``GET  /v1/run``      -- the run descriptor: corpus identity, the full
   wire-serialized pipeline config, and the run fingerprint a joining
   worker must reproduce before it may lease (the resume contract of
   :mod:`repro.farm.checkpoint`, extended over the network);
 - ``GET  /v1/status``, ``/healthz``, ``/metrics`` -- observability.
-
-Lease state machine (per ledger entry)::
-
-    PENDING --lease--> LEASED --complete/fail--> DONE
-       ^                  |
-       +----- expire -----+   (reaper or lazy, on any ledger access)
 
 A worker killed mid-shard (SIGKILL, OOM) simply stops renewing; when its
 lease expires the shard returns to PENDING and the next ``lease`` call
@@ -46,36 +41,24 @@ exactly as the local farm does.
 
 from __future__ import annotations
 
-import os
 import threading
-import time
-from dataclasses import dataclass, field, replace
 from http.server import ThreadingHTTPServer
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.farm.checkpoint import CheckpointJournal
-from repro.farm.coordinator import FarmConfig, FarmResult, build_shard_jobs
+from repro.farm.coordinator import FarmConfig, FarmResult, FarmRun
 from repro.farm.jobs import (
-    QuarantineRecord,
-    ShardJob,
-    ShardResult,
     chaos_to_wire,
     config_to_wire,
     run_fingerprint,
     shard_job_to_wire,
     shard_result_from_wire,
-    with_indices,
 )
-from repro.farm.merger import merge_serialized
-from repro.farm.metrics import FarmMetrics
-from repro.farm.shards import plan_shards
-from repro.observe.merge import merge_span_lists
-from repro.observe.metrics import MetricsRegistry, lease_summary
+from repro.farm.lease import LeaseEntry, ShardLedger
+from repro.observe.metrics import lease_summary
 from repro.observe.prom import PROM_CONTENT_TYPE, to_prometheus
 # The daemon's transport plumbing is exactly the reuse the network farm
 # wants: one JSON-over-HTTP idiom repo-wide.
 from repro.service.http import JsonRequestHandler
-from repro.store.verdicts import VerdictStore
 
 __all__ = [
     "NETFARM_PROTOCOL",
@@ -86,211 +69,17 @@ __all__ = [
 
 NETFARM_PROTOCOL = 1
 
-PENDING = "pending"
-LEASED = "leased"
-DONE = "done"
-
-
-@dataclass
-class LeaseEntry:
-    """One ledger row: a shard job and who (if anyone) holds it right now."""
-
-    entry_id: int
-    job: ShardJob
-    state: str = PENDING
-    worker: Optional[str] = None
-    expires_at: float = 0.0
-    #: grants so far (1 on first lease; >1 means the shard was requeued).
-    attempts: int = 0
-    #: who held the lease the reaper last reclaimed (for steal counting).
-    prev_worker: Optional[str] = None
-    #: last renewal progress: ``{"completed": n, "total": n}``.
-    progress: Dict[str, int] = field(default_factory=dict)
-
-
-class ShardLedger:
-    """Thread-safe lease ledger over a fixed set of shard jobs.
-
-    All transitions happen under one mutex with an injectable clock, so
-    tests drive expiry deterministically.  Expired leases are reclaimed
-    lazily on every ``lease`` call *and* by the coordinator's reaper
-    thread, so recovery does not depend on a new worker happening to ask.
-    """
-
-    def __init__(
-        self,
-        jobs: List[ShardJob],
-        lease_s: float = 15.0,
-        registry: Optional[MetricsRegistry] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if lease_s <= 0:
-            raise ValueError("lease_s must be > 0")
-        self.lease_s = lease_s
-        self._clock = clock
-        self._registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
-        self._entries: Dict[int, LeaseEntry] = {}
-        self._next_id = 0
-        self._workers_seen: List[str] = []
-        for job in jobs:
-            self._append_entry(job)
-
-    def _append_entry(self, job: ShardJob) -> LeaseEntry:
-        entry = LeaseEntry(entry_id=self._next_id, job=job)
-        self._entries[entry.entry_id] = entry
-        self._next_id += 1
-        return entry
-
-    def _count(self, name: str) -> None:
-        self._registry.counter("farm.lease.{}".format(name)).inc()
-
-    def _expire_locked(self, now: float) -> int:
-        expired = 0
-        for entry in self._entries.values():
-            if entry.state == LEASED and entry.expires_at <= now:
-                entry.state = PENDING
-                entry.prev_worker = entry.worker
-                entry.worker = None
-                entry.progress = {}
-                expired += 1
-                self._count("expired")
-        return expired
-
-    # -- transitions -----------------------------------------------------------
-
-    def lease(self, worker: str) -> Optional[LeaseEntry]:
-        """Grant the first pending shard to ``worker``; None when drained."""
-        now = self._clock()
-        with self._lock:
-            self._expire_locked(now)
-            if worker not in self._workers_seen:
-                self._workers_seen.append(worker)
-            for entry_id in sorted(self._entries):
-                entry = self._entries[entry_id]
-                if entry.state != PENDING:
-                    continue
-                entry.state = LEASED
-                entry.worker = worker
-                entry.expires_at = now + self.lease_s
-                entry.attempts += 1
-                self._count("granted")
-                if entry.prev_worker is not None and entry.prev_worker != worker:
-                    self._count("stolen")
-                return entry
-            return None
-
-    def renew(self, worker: str, entry_id: int, progress: Dict[str, int]) -> bool:
-        """Extend a live lease; False means the lease was lost (expired,
-        re-granted, or completed by someone else)."""
-        now = self._clock()
-        with self._lock:
-            self._expire_locked(now)
-            entry = self._entries.get(entry_id)
-            if entry is None or entry.state != LEASED or entry.worker != worker:
-                return False
-            entry.expires_at = now + self.lease_s
-            if progress:
-                entry.progress = dict(progress)
-            self._count("renewed")
-            return True
-
-    def complete(self, worker: str, entry_id: int) -> bool:
-        """First completion wins; True means the caller's results count.
-
-        A completion is accepted even from a worker whose lease expired
-        (the work is done and no one else finished it first); the entry
-        flips to DONE under the mutex, so at most one caller ever gets
-        True for a given entry -- that is the fleet-wide exactly-once
-        folding guarantee.
-        """
-        with self._lock:
-            entry = self._entries.get(entry_id)
-            if entry is None:
-                return False
-            if entry.state == DONE:
-                self._count("stale")
-                return False
-            entry.state = DONE
-            entry.worker = worker
-            entry.progress = {}
-            return True
-
-    def fail(self, worker: str, entry_id: int) -> Tuple[int, Tuple[int, ...]]:
-        """A worker's executor died on this shard.
-
-        Multi-app shards are requeued one app per entry (poison
-        isolation, mirroring the local coordinator); a single-app shard
-        has found its culprit and is surrendered for quarantine.  Returns
-        ``(entries_requeued, indices_to_quarantine)``.
-        """
-        with self._lock:
-            entry = self._entries.get(entry_id)
-            if entry is None or entry.state == DONE:
-                return 0, ()
-            entry.state = DONE
-            entry.worker = worker
-            entry.progress = {}
-            if len(entry.job.indices) <= 1:
-                return 0, entry.job.indices
-            for index in entry.job.indices:
-                self._append_entry(with_indices(entry.job, (index,)))
-            return len(entry.job.indices), ()
-
-    def expire(self) -> int:
-        """Reap expired leases now (the coordinator's reaper tick)."""
-        with self._lock:
-            return self._expire_locked(self._clock())
-
-    # -- queries ---------------------------------------------------------------
-
-    def done(self) -> bool:
-        with self._lock:
-            return all(entry.state == DONE for entry in self._entries.values())
-
-    def workers_seen(self) -> List[str]:
-        with self._lock:
-            return list(self._workers_seen)
-
-    def snapshot(self) -> Dict[str, object]:
-        now = self._clock()
-        with self._lock:
-            states = {PENDING: 0, LEASED: 0, DONE: 0}
-            leases = []
-            for entry_id in sorted(self._entries):
-                entry = self._entries[entry_id]
-                states[entry.state] += 1
-                if entry.state == LEASED:
-                    leases.append(
-                        {
-                            "entry_id": entry.entry_id,
-                            "shard_id": entry.job.shard_id,
-                            "indices": list(entry.job.indices),
-                            "worker": entry.worker,
-                            "expires_in_s": round(entry.expires_at - now, 3),
-                            "attempts": entry.attempts,
-                            "progress": dict(entry.progress),
-                        }
-                    )
-            return {
-                "entries": len(self._entries),
-                "pending": states[PENDING],
-                "leased": states[LEASED],
-                "done": states[DONE],
-                "workers": list(self._workers_seen),
-                "leases": leases,
-            }
-
 
 class FarmCoordinator:
-    """``repro farm serve``: the run_farm control loop behind HTTP.
+    """``repro farm serve``: a :class:`FarmRun` behind HTTP.
 
-    Owns everything stateful -- the lease ledger, the (single-writer)
-    checkpoint journal, the merge accumulators, and the
-    :class:`FarmMetrics` registry every completed shard folds into.
-    Workers are stateless leaseholders; killing any of them loses at
-    most one lease interval of progress, and killing the coordinator
-    leaves a journal ``--resume`` accepts.
+    The run owns everything stateful -- the lease ledger, the
+    (single-writer) checkpoint journal, the merge accumulators and the
+    metrics registry every completed shard folds into; this class adds
+    the server, the lease reaper and the finish signal.  Workers are
+    stateless leaseholders; killing any of them loses at most one lease
+    interval of progress, and killing the coordinator leaves a journal
+    ``--resume`` accepts.
     """
 
     def __init__(
@@ -301,8 +90,6 @@ class FarmCoordinator:
         lease_s: float = 15.0,
         reap_interval_s: Optional[float] = None,
     ) -> None:
-        if config.resume and not config.checkpoint:
-            raise ValueError("resume requires a checkpoint path")
         self.config = config
         self.host = host
         self._requested_port = port
@@ -310,68 +97,14 @@ class FarmCoordinator:
         self.reap_interval_s = (
             reap_interval_s if reap_interval_s is not None else max(0.2, lease_s / 3.0)
         )
-        # Workers run in other working directories (often other hosts on a
-        # shared filesystem), so a relative store path must be anchored
-        # before it goes on the wire.
-        self._store_path = (
-            os.path.abspath(config.verdict_store) if config.verdict_store else None
-        )
-        if self._store_path:
-            # Fail fast on a fingerprint mismatch here, in the coordinator,
-            # exactly as run_farm does.
-            VerdictStore(self._store_path, config.pipeline).close()
-
-        shards = plan_shards(
-            config.n_apps, config.planned_shards(), config.shard_strategy
-        )
-        self.metrics = FarmMetrics(workers=0, shards_planned=len(shards))
+        self.run = FarmRun(config, lease_s=lease_s)
+        self.ledger = self.run.ledger
         self.fingerprint = run_fingerprint(
             config.corpus_seed, config.n_apps, config.pipeline
         )
-
-        self._journal: Optional[CheckpointJournal] = None
-        self._analyses: Dict[int, Dict[str, object]] = {}
-        self._quarantined: List[QuarantineRecord] = []
-        self._resumed_apps = 0
-        if config.checkpoint:
-            self._journal = CheckpointJournal(
-                config.checkpoint,
-                corpus_seed=config.corpus_seed,
-                n_apps=config.n_apps,
-                config=config.pipeline,
-                resume=config.resume,
-            )
-            self._analyses.update(self._journal.completed)
-            for entry in self._journal.quarantined.values():
-                self._quarantined.append(
-                    QuarantineRecord(
-                        index=entry["index"],
-                        package=entry["package"],
-                        error=entry["error"],
-                        attempts=entry["attempts"],
-                    )
-                )
-            self._resumed_apps = len(self._journal.completed)
-            self.metrics.record_resumed(
-                self._resumed_apps, len(self._journal.quarantined)
-            )
-
-        skip = self._journal.settled_indices() if self._journal else set()
-        jobs = [
-            replace(job, flight_dir=None, verdict_store=self._store_path)
-            for job in build_shard_jobs(config, shards, skip)
-        ]
-        self.ledger = ShardLedger(
-            jobs, lease_s=lease_s, registry=self.metrics.registry
-        )
-        self._shard_spans: List[Tuple[int, List[Dict[str, object]]]] = []
-        self._lock = threading.Lock()
         self._finished = threading.Event()
         self._stop_reaper = threading.Event()
-        self._result: Optional[FarmResult] = None
         self._server = None
-        self._server_thread: Optional[threading.Thread] = None
-        self._reaper_thread: Optional[threading.Thread] = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -382,27 +115,19 @@ class FarmCoordinator:
         return self._server.server_port
 
     def start(self) -> "FarmCoordinator":
-        self.metrics.start()
         self._server = _FarmHTTPServer((self.host, self._requested_port), self)
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-farm-coordinator",
-            daemon=True,
-        )
-        self._server_thread.start()
-        self._reaper_thread = threading.Thread(
-            target=self._reap_loop, name="repro-farm-reaper", daemon=True
-        )
-        self._reaper_thread.start()
-        if self.ledger.done():  # fully-resumed run: nothing left to lease
-            self._finish()
+        for target, name in (
+            (self._server.serve_forever, "repro-farm-coordinator"),
+            (self._reap_loop, "repro-farm-reaper"),
+        ):
+            threading.Thread(target=target, name=name, daemon=True).start()
+        self._settled()  # a fully-resumed run has nothing left to lease
         return self
 
     def _reap_loop(self) -> None:
         while not self._stop_reaper.wait(self.reap_interval_s):
             self.ledger.expire()
-            if self.ledger.done():
-                self._finish()
+            self._settled()
 
     def wait(self, timeout: Optional[float] = None) -> FarmResult:
         """Block until every shard is DONE; returns the merged result."""
@@ -412,8 +137,7 @@ class FarmCoordinator:
                     timeout, self.ledger.snapshot()
                 )
             )
-        assert self._result is not None
-        return self._result
+        return self.run.result
 
     def stop(self) -> None:
         """Shut the server down (idempotent); the journal stays resumable."""
@@ -421,29 +145,11 @@ class FarmCoordinator:
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
-        with self._lock:
-            if self._result is None and self._journal is not None:
-                self._journal.close()
-                self._journal = None
+        self.run.close()
 
     def _finish(self) -> None:
-        with self._lock:
-            if self._result is not None:
-                return
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
-            self.metrics.workers = len(self.ledger.workers_seen())
-            self.metrics.stop()
-            metrics = self.metrics.to_dict()
-            metrics["leases"] = lease_summary(self.metrics.registry)
-            self._result = FarmResult(
-                report=merge_serialized(self._analyses),
-                metrics=metrics,
-                quarantined=sorted(self._quarantined, key=lambda r: r.index),
-                resumed_apps=self._resumed_apps,
-                spans=merge_span_lists(self._shard_spans),
-            )
+        result = self.run.finish(workers=len(self.ledger.workers_seen()))
+        result.metrics.setdefault("leases", lease_summary(self.run.metrics.registry))
         self._finished.set()
 
     # -- endpoint bodies -------------------------------------------------------
@@ -463,81 +169,40 @@ class FarmCoordinator:
             "max_retries": self.config.max_retries,
             "backoff_s": self.config.backoff_s,
             "trace": self.config.trace,
-            "verdict_store": self._store_path,
+            "verdict_store": self.run.store_path,
         }
 
     def handle_lease(self, worker: str) -> Dict[str, object]:
-        entry = self.ledger.lease(worker)
+        entry = self.run.lease(worker)
         if entry is None:
-            done = self.ledger.done()
-            if done:
-                self._finish()
-            return {"empty": True, "done": done, "retry_after_s": 0.5}
+            return {"empty": True, "done": self._settled(), "retry_after_s": 0.5}
         return {
             "entry_id": entry.entry_id,
             "lease_s": self.lease_s,
             "shard": shard_job_to_wire(entry.job),
         }
 
-    def handle_renew(
-        self, worker: str, entry_id: int, progress: Dict[str, int]
-    ) -> Dict[str, object]:
-        return {"ok": self.ledger.renew(worker, entry_id, progress)}
-
     def handle_complete(
         self, worker: str, entry_id: int, result_wire: Dict[str, object]
     ) -> Dict[str, object]:
-        result: ShardResult = shard_result_from_wire(result_wire)
-        accepted = self.ledger.complete(worker, entry_id)
-        if accepted:
-            self._fold(result)
-            if self.ledger.done():
-                self._finish()
-        return {"accepted": accepted, "done": self.ledger.done()}
+        accepted = self.run.complete(entry_id, shard_result_from_wire(result_wire), worker)
+        return {"accepted": accepted, "done": self._settled()}
 
-    def handle_fail(
-        self, worker: str, entry_id: int, error: str
-    ) -> Dict[str, object]:
-        requeued, quarantine = self.ledger.fail(worker, entry_id)
-        with self._lock:
-            for index in quarantine:
-                record = QuarantineRecord(
-                    index=index,
-                    package="<corpus index {}>".format(index),
-                    error="worker died: {}".format(error),
-                    attempts=1,
-                )
-                self._quarantined.append(record)
-                if self._journal is not None:
-                    self._journal.append_quarantine(record)
-                self.metrics.record_coordinator_quarantine()
-        if self.ledger.done():
+    def handle_fail(self, worker: str, entry_id: int) -> Dict[str, object]:
+        requeued, quarantined = self.run.fail(entry_id, worker)
+        self._settled()
+        return {"requeued": requeued, "quarantined": quarantined}
+
+    def _settled(self) -> bool:
+        """Finish the run once its ledger drained; True if it has."""
+        done = self.run.drained()
+        if done:
             self._finish()
-        return {"requeued": requeued, "quarantined": len(quarantine)}
-
-    def _fold(self, result: ShardResult) -> None:
-        """Merge one accepted shard result (journal + accumulators)."""
-        with self._lock:
-            self.metrics.record_shard(result)
-            if result.spans:
-                self._shard_spans.append((result.shard_id, result.spans))
-            for app in result.results:
-                if app.index in self._analyses:
-                    continue  # settled by a resume or an earlier duplicate
-                self._analyses[app.index] = app.analysis
-                if self._journal is not None:
-                    self._journal.append_result(app)
-            for record in result.quarantined:
-                self._quarantined.append(record)
-                if self._journal is not None:
-                    self._journal.append_quarantine(record)
+        return done
 
     def status(self) -> Dict[str, object]:
         """``GET /v1/status``: ledger + progress for dashboards and tests."""
-        ledger = self.ledger.snapshot()
-        with self._lock:
-            settled = len(self._analyses) + len(self._quarantined)
-            quarantined = len(self._quarantined)
+        settled, quarantined = self.run.progress()
         return {
             "kind": "farm-status",
             "fingerprint": self.fingerprint,
@@ -545,8 +210,8 @@ class FarmCoordinator:
             "apps_settled": settled,
             "apps_quarantined": quarantined,
             "done": self._finished.is_set(),
-            "ledger": ledger,
-            "leases": lease_summary(self.metrics.registry),
+            "ledger": self.ledger.snapshot(),
+            "leases": lease_summary(self.run.metrics.registry),
         }
 
 
@@ -599,8 +264,8 @@ class _FarmHandler(JsonRequestHandler):
                 return 200, {"ok": True, "done": coordinator._finished.is_set()}, None
             if path == "/metrics":
                 if "format=prom" in query:
-                    return 200, {}, to_prometheus(coordinator.metrics.registry)
-                return 200, coordinator.metrics.registry.to_dict(), None
+                    return 200, {}, to_prometheus(coordinator.run.metrics.registry)
+                return 200, coordinator.run.metrics.registry.to_dict(), None
             return 404, {"error": "no route GET {}".format(path)}, None
         if method == "POST":
             payload, error = self._read_json()
@@ -617,14 +282,13 @@ class _FarmHandler(JsonRequestHandler):
             if path == "/v1/renew":
                 progress = payload.get("progress")
                 progress = progress if isinstance(progress, dict) else {}
-                return 200, coordinator.handle_renew(worker, entry_id, progress), None
+                return 200, {"ok": coordinator.ledger.renew(worker, entry_id, progress)}, None
             if path == "/v1/complete":
                 result = payload.get("result")
                 if not isinstance(result, dict):
                     return 400, {"error": "'result' must be an object"}, None
                 return 200, coordinator.handle_complete(worker, entry_id, result), None
             if path == "/v1/fail":
-                error_text = str(payload.get("error", "unknown"))
-                return 200, coordinator.handle_fail(worker, entry_id, error_text), None
+                return 200, coordinator.handle_fail(worker, entry_id), None
             return 404, {"error": "no route POST {}".format(path)}, None
         return 405, {"error": "method {} not allowed".format(method)}, None

@@ -3,11 +3,13 @@
 A join worker is the stateless half of :mod:`repro.farm.netcoord`: it
 fetches the run descriptor, proves it reconstructs the same run
 fingerprint from the wire-serialized pipeline config (the resume
-contract, extended over the network), then loops lease -> analyze ->
-complete until the coordinator reports the ledger drained.  Shards
-execute through the same :func:`repro.farm.worker.run_shard` and
-executor stack as the local farm, so one node with ``--workers N`` is
-exactly an N-process farm whose coordinator happens to live elsewhere.
+contract, extended over the network), then drives the lease loop of
+:mod:`repro.farm.lease` against the coordinator's ledger until it
+reports the ledger drained.  Shards execute through the same
+:func:`repro.farm.worker.run_shard` and loop as the local farm, so one
+node with ``--workers N`` is exactly an N-process farm whose ledger
+happens to live elsewhere -- a local worker process dying is reported
+through ``/v1/fail`` for that one entry.
 
 Lease renewal rides the existing per-app heartbeats: ``run_shard``
 atomically rewrites ``heartbeat-<shard>.json`` after every settled app
@@ -31,19 +33,19 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.farm.executors import create_executor
 from repro.farm.flight import read_heartbeats
 from repro.farm.jobs import (
     ShardJob,
+    ShardResult,
     config_from_wire,
     run_fingerprint,
     shard_job_from_wire,
     shard_result_to_wire,
 )
+from repro.farm.lease import WORKER_DIED, LeaseEntry, run_leases
 from repro.farm.worker import run_shard
 from repro.service.client import ServiceClient, ServiceClientError
 
@@ -73,44 +75,95 @@ def default_worker_id() -> str:
     return "{}:{}".format(socket.gethostname(), os.getpid())
 
 
-class _Renewer:
-    """Background lease-renewal thread over all of a node's active leases."""
+class _Remote:
+    """The coordinator's ledger as a :func:`run_leases` lessee.
+
+    A background thread renews every lease this node holds, at a third of
+    the lease so two consecutive losses still leave margin before expiry.
+    """
 
     def __init__(
         self,
         client: ServiceClient,
-        worker: str,
+        summary: JoinSummary,
         lease_s: float,
         telemetry_dir: Optional[str],
     ) -> None:
         self._client = client
-        self._worker = worker
-        #: renew at a third of the lease so two consecutive losses still
-        #: leave margin before expiry.
-        self._interval_s = max(0.05, lease_s / 3.0)
+        self._summary = summary
         self._telemetry_dir = telemetry_dir
-        self._active: Dict[int, ShardJob] = {}
+        self._interval_s = max(0.05, lease_s / 3.0)
+        self._held: Dict[int, ShardJob] = {}
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self.lost = 0
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-farm-renewer", daemon=True
+        self._drained = False
+        self._renewer = threading.Thread(
+            target=self._renew_loop, name="repro-farm-renewer", daemon=True
         )
 
-    def start(self) -> None:
-        self._thread.start()
+    def __enter__(self) -> "_Remote":
+        self._renewer.start()
+        return self
 
-    def stop(self) -> None:
+    def __exit__(self, *exc_info) -> None:
         self._stop.set()
-        self._thread.join(timeout=5.0)
+        self._renewer.join(timeout=5.0)
 
-    def track(self, entry_id: int, job: ShardJob) -> None:
-        with self._lock:
-            self._active[entry_id] = job
+    def drained(self) -> bool:
+        return self._drained
 
-    def untrack(self, entry_id: int) -> None:
+    def lease(self) -> Optional[LeaseEntry]:
+        response = None if self._drained else self._post("/v1/lease", attempts=1)
+        if response is None or response.get("done"):
+            self._drained = True  # drained, or the coordinator is gone
+            return None
+        if response.get("empty"):
+            return None
+        job = shard_job_from_wire(response["shard"])
+        entry = LeaseEntry(int(response["entry_id"]), replace(job, flight_dir=self._telemetry_dir))
         with self._lock:
-            self._active.pop(entry_id, None)
+            self._held[entry.entry_id] = entry.job
+        return entry
+
+    def complete(self, entry_id: int, result: ShardResult) -> None:
+        self._release(entry_id)
+        response = self._post(
+            "/v1/complete", entry_id=entry_id, result=shard_result_to_wire(result)
+        )
+        if response is None or response.get("done"):
+            self._drained = True  # coordinator gone, or nothing left to ship
+        if response is not None and response.get("accepted"):
+            self._summary.shards_completed += 1
+            self._summary.apps_analyzed += len(result.results)
+            self._summary.apps_quarantined += len(result.quarantined)
+        elif response is not None:
+            self._summary.shards_stale += 1
+
+    def fail(self, entry_id: int) -> None:
+        self._release(entry_id)
+        self._summary.shards_failed += 1
+        self._summary.errors.append("entry {}: {}".format(entry_id, WORKER_DIED))
+        self._post("/v1/fail", entry_id=entry_id, error=WORKER_DIED)
+
+    def _release(self, entry_id: int) -> None:
+        with self._lock:
+            self._held.pop(entry_id, None)
+
+    def _post(self, path: str, attempts: int = 3, **body) -> Optional[Dict[str, object]]:
+        """POST as this worker; None if the coordinator stays unreachable.
+
+        A settled shard is minutes of analysis -- worth a few retries over
+        a transient network blip -- but the coordinator exiting after the
+        last shard is normal, so persistent unreachability is not an error.
+        """
+        body["worker"] = self._summary.worker
+        for attempt in range(attempts):
+            try:
+                return self._client.request("POST", path, body)
+            except ServiceClientError:
+                if attempt + 1 < attempts:
+                    time.sleep(0.2 * (attempt + 1))
+        return None
 
     def _progress_for(self, job: ShardJob) -> Dict[str, int]:
         if not self._telemetry_dir:
@@ -123,29 +176,20 @@ class _Renewer:
             "total": int(heartbeat.get("total", len(job.indices))),
         }
 
-    def _loop(self) -> None:
+    def _renew_loop(self) -> None:
         while not self._stop.wait(self._interval_s):
             with self._lock:
-                active = list(self._active.items())
-            for entry_id, job in active:
-                try:
-                    response = self._client.request(
-                        "POST",
-                        "/v1/renew",
-                        {
-                            "worker": self._worker,
-                            "entry_id": entry_id,
-                            "progress": self._progress_for(job),
-                        },
-                    )
-                except ServiceClientError:
-                    continue  # coordinator briefly unreachable; retry next tick
-                if not response.get("ok"):
+                held = list(self._held.items())
+            for entry_id, job in held:
+                response = self._post(
+                    "/v1/renew", attempts=1, entry_id=entry_id, progress=self._progress_for(job)
+                )
+                if response is not None and not response.get("ok"):
                     # Lease lost (expired and possibly re-granted).  Keep
                     # computing: completion is first-wins, so the work may
                     # still land; the counter records the near-miss.
-                    self.lost += 1
-                    self.untrack(entry_id)
+                    self._summary.lost_leases += 1
+                    self._release(entry_id)
 
 
 def join_farm(
@@ -160,15 +204,14 @@ def join_farm(
     """Lease and analyze shards from ``host:port`` until the run drains.
 
     ``workers`` bounds concurrent leases (and local analysis processes,
-    via the same executor the local farm uses).  ``telemetry_dir`` is
+    via the same lease loop the local farm uses).  ``telemetry_dir`` is
     node-local: flight recordings, heartbeats, and renewal progress all
     come from there, so two nodes must not share one (they may freely
     share the verdict store the coordinator names, which is the point).
     """
     client = ServiceClient(host, port, timeout=request_timeout_s)
-    worker = worker_id or default_worker_id()
     started = time.perf_counter()
-    summary = JoinSummary(worker=worker)
+    summary = JoinSummary(worker=worker_id or default_worker_id())
 
     try:
         run = client.request("GET", "/v1/run")
@@ -183,112 +226,9 @@ def join_farm(
             "protocol or config drift between nodes".format(expected, actual)
         )
     lease_s = float(run.get("lease_s") or 15.0)
-
-    renewer = _Renewer(client, worker, lease_s, telemetry_dir)
-    renewer.start()
-    drained = False
-    active: Dict[int, Tuple[ShardJob, Future]] = {}
-    try:
-        with create_executor(max(1, workers)) as executor:
-            while True:
-                # Top up to one lease per local worker slot.
-                while not drained and len(active) < max(1, workers):
-                    response = _lease(client, worker)
-                    if response is None or response.get("done"):
-                        drained = response is None or bool(response.get("done"))
-                        if drained:
-                            break
-                    if response.get("empty"):
-                        break
-                    job = shard_job_from_wire(response["shard"])
-                    job = replace(job, flight_dir=telemetry_dir)
-                    entry_id = int(response["entry_id"])
-                    renewer.track(entry_id, job)
-                    # NB: with workers=1 the SyncExecutor runs the shard
-                    # inline here; the renewer thread keeps the lease
-                    # alive through the whole synchronous analysis.
-                    active[entry_id] = (job, executor.submit(run_shard, job))
-                if not active:
-                    if drained:
-                        break
-                    time.sleep(poll_s)
-                    continue
-                wait(
-                    [future for _, future in active.values()],
-                    timeout=poll_s,
-                    return_when=FIRST_COMPLETED,
-                )
-                for entry_id, (job, future) in list(active.items()):
-                    if not future.done():
-                        continue
-                    del active[entry_id]
-                    renewer.untrack(entry_id)
-                    try:
-                        result = future.result()
-                    except Exception as exc:  # worker process died mid-shard
-                        summary.shards_failed += 1
-                        summary.errors.append(str(exc))
-                        _post_settled(
-                            client,
-                            "/v1/fail",
-                            {
-                                "worker": worker,
-                                "entry_id": entry_id,
-                                "error": str(exc),
-                            },
-                        )
-                        continue
-                    response = _post_settled(
-                        client,
-                        "/v1/complete",
-                        {
-                            "worker": worker,
-                            "entry_id": entry_id,
-                            "result": shard_result_to_wire(result),
-                        },
-                    )
-                    if response is None:
-                        drained = True  # coordinator gone; nothing to ship to
-                    elif response.get("accepted"):
-                        summary.shards_completed += 1
-                        summary.apps_analyzed += len(result.results)
-                        summary.apps_quarantined += len(result.quarantined)
-                    else:
-                        summary.shards_stale += 1
-                    if response is not None and response.get("done"):
-                        drained = True
-    finally:
-        renewer.stop()
-        summary.lost_leases = renewer.lost
-        summary.wall_s = time.perf_counter() - started
+    # With workers=1 a shard runs inline in this thread; the renewer
+    # thread keeps its lease alive through the whole analysis.
+    with _Remote(client, summary, lease_s, telemetry_dir) as remote:
+        run_leases(remote, run_shard, max(1, workers), poll_s=poll_s)
+    summary.wall_s = time.perf_counter() - started
     return summary
-
-
-def _lease(client: ServiceClient, worker: str) -> Optional[Dict[str, object]]:
-    """One lease attempt; None means the coordinator is gone (treat as done)."""
-    try:
-        return client.request("POST", "/v1/lease", {"worker": worker})
-    except ServiceClientError:
-        return None
-
-
-def _post_settled(
-    client: ServiceClient,
-    path: str,
-    payload: Dict[str, object],
-    attempts: int = 3,
-    backoff_s: float = 0.2,
-) -> Optional[Dict[str, object]]:
-    """Ship a completion/failure with brief retries; None if unreachable.
-
-    A completed shard is minutes of analysis -- worth a few retries over
-    a transient network blip -- but the coordinator exiting after the
-    last shard is normal, so persistent unreachability is not an error.
-    """
-    for attempt in range(attempts):
-        try:
-            return client.request("POST", path, payload)
-        except ServiceClientError:
-            if attempt + 1 < attempts:
-                time.sleep(backoff_s * (attempt + 1))
-    return None

@@ -5,7 +5,8 @@ The JSONL file stays the single source of truth.  The derived
 byte offset of its first line, up to a ``watermark``, so warm opens and
 point lookups skip the linear scan.  It is a cache, never an authority:
 a validation failure (schema drift, another log's fingerprint, a
-watermark past EOF) resets it, and losing it costs one full scan.  The
+watermark past EOF) resets it, a file sqlite cannot read as a database
+is replaced, and losing it costs one full scan.  The
 watermark only advances in the transaction that inserts every entry
 below it, and only holders of the log's exclusive ``flock`` write here.
 The schema is in ``docs/architecture.md`` §18.
@@ -74,13 +75,28 @@ class StoreIndex:
     @property
     def _conn(self):
         if self._db is None:
-            self._db = sqlite3.connect(str(self.path), timeout=5.0, check_same_thread=False)
-            self._db.isolation_level = None  # explicit transactions only
-            self._ensure_schema(self._store_size)
+            try:
+                self._db = self._connect()
+            except sqlite3.OperationalError:
+                raise  # locked or busy: the caller drops the sidecar
+            except sqlite3.DatabaseError:
+                # Not a database, or corrupt.  The first use is the log's
+                # open, under its exclusive lock: start over, once.
+                self.path.unlink(missing_ok=True)
+                self._db = self._connect()
         return self._db
 
-    def _ensure_schema(self, store_size: int) -> None:
-        cur = self._db
+    def _connect(self):
+        db = sqlite3.connect(str(self.path), timeout=5.0, check_same_thread=False)
+        db.isolation_level = None  # explicit transactions only
+        try:
+            self._ensure_schema(db, self._store_size)
+        except BaseException:
+            db.close()
+            raise
+        return db
+
+    def _ensure_schema(self, cur, store_size: int) -> None:
         cur.execute("BEGIN IMMEDIATE")
         try:
             cur.execute(

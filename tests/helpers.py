@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.android import bytecode as bc
@@ -158,3 +159,19 @@ def local_loader_app(
         assets={"assets/{}".format(asset_name): payload.to_bytes()},
     )
     return apk, payload
+
+
+def dying_shard(run, index: int, marker: Optional[str], job):
+    """``run(job)``, except that the worker process dies on a shard
+    holding corpus ``index`` -- every time, or, given a ``marker`` path,
+    only until that file exists (the first death creates it).
+
+    Patch it over the function a lease loop submits, bound with
+    ``functools.partial`` to that function so it pickles into worker
+    processes.
+    """
+    if index in job.indices and not (marker and os.path.exists(marker)):
+        if marker:
+            open(marker, "w").close()
+        os._exit(1)
+    return run(job)

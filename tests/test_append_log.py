@@ -130,6 +130,9 @@ class StoreKind(Kind):
         with VerdictStore(path, CONFIG) as store:
             return store.corrupt_lines
 
+    def found(self, store, i):
+        return store.get_detection("d{}".format(i))[0]
+
 
 class WarehouseKind(Kind):
     name, error = "warehouse", WarehouseError
@@ -149,6 +152,9 @@ class WarehouseKind(Kind):
         index_path(path).unlink(missing_ok=True)
         with SnapshotWarehouse(path) as warehouse:
             return warehouse.corrupt_lines
+
+    def found(self, warehouse, i):
+        return warehouse.get("p{}".format(i), 1) is not None
 
 
 class CheckpointKind(Kind):
@@ -344,6 +350,20 @@ def test_next_appender_indexes_a_dead_writers_gap(kind, tmp_path):
     kind.append(survivor, 2)  # must index the gap along with its own line
     kind.close(survivor)
     assert kind.ids(path) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("kind", KINDS[:2], ids=repr)
+def test_unreadable_sidecar_is_rebuilt(kind, tmp_path):
+    """A sidecar sqlite cannot read as a database is derived data: the next
+    open replaces it, and the open after that scans nothing."""
+    path = tmp_path / "log.jsonl"
+    write_records(kind, path, range(50))
+    index_path(path).write_bytes(b"not a database\n" * 64)
+    with kind.open(path) as handle:
+        assert handle.index_stats()["enabled"]
+        assert all(kind.found(handle, i) for i in range(50))
+    with kind.open(path) as handle:
+        assert handle.index_stats()["full_scans"] == 0
 
 
 # -- corrupt interior lines ---------------------------------------------------------

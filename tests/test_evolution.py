@@ -1,10 +1,12 @@
 """The longitudinal evolution subsystem: lineages, warehouse, differ, runner."""
 
+import functools
 import json
 import sqlite3
 
 import pytest
 
+import repro.evolution.runner as runner_module
 from repro.cli import main
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid
@@ -25,9 +27,11 @@ from repro.evolution import (
     diff_digest,
     plan_lineages,
     run_evolution,
+    run_lineage_shard,
 )
 from repro.static_analysis.malware.droidnative import Detection
 from repro.static_analysis.prefilter import PrefilterResult
+from tests.helpers import dying_shard
 
 N_APPS = 14
 N_VERSIONS = 3
@@ -612,6 +616,58 @@ class TestRunEvolution:
     def test_rejects_zero_versions(self):
         with pytest.raises(ValueError):
             run_evolution(evolve_config(n_versions=0))
+
+
+class TestWorkerCountInvariance:
+    """What a run produces does not depend on how many workers ran it or
+    on a worker process dying -- and a run that cannot finish raises."""
+
+    @pytest.fixture(scope="class")
+    def by_workers(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("workers")
+        runs = {}
+        for workers in (1, 2):
+            warehouse = tmp / "warehouse-{}.jsonl".format(workers)
+            result = run_evolution(
+                evolve_config(workers=workers, n_shards=4, trace=True, warehouse=str(warehouse))
+            )
+            runs[workers] = (result, warehouse.read_bytes())
+        return runs
+
+    def test_trace_structure(self, by_workers):
+        def structure(result):
+            return [(span["name"], span["tid"], span["parent_id"]) for span in result.spans]
+
+        assert structure(by_workers[1][0])
+        assert structure(by_workers[1][0]) == structure(by_workers[2][0])
+
+    def test_warehouse_bytes(self, by_workers):
+        assert by_workers[1][1] == by_workers[2][1]
+        assert by_workers[1][0].diff_fingerprint == by_workers[2][0].diff_fingerprint
+
+    def test_a_worker_death_splits_its_shard_and_changes_nothing(
+        self, by_workers, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "died"
+        monkeypatch.setattr(
+            runner_module, "run_lineage_shard",
+            functools.partial(dying_shard, run_lineage_shard, 5, str(marker)),
+        )
+        warehouse = tmp_path / "warehouse.jsonl"
+        result = run_evolution(
+            evolve_config(workers=2, n_shards=4, trace=True, warehouse=str(warehouse))
+        )
+        assert marker.exists()
+        assert warehouse.read_bytes() == by_workers[1][1]
+        assert result.diff_fingerprint == by_workers[1][0].diff_fingerprint
+
+    def test_an_app_that_always_kills_its_worker_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            runner_module, "run_lineage_shard",
+            functools.partial(dying_shard, run_lineage_shard, 5, None),
+        )
+        with pytest.raises(RuntimeError, match="worker process died"):
+            run_evolution(evolve_config(workers=2, n_shards=4))
 
 
 # -- CLI --------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """The analysis farm: sharding, merge determinism, resume, fault tolerance."""
 
+import functools
 import json
 
 import pytest
 
+import repro.farm.coordinator as coordinator_module
 from repro.cli import main
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid, LruCache
@@ -14,7 +16,10 @@ from repro.farm import (
     FarmConfig,
     plan_shards,
     run_farm,
+    run_shard,
 )
+from repro.farm.lease import WORKER_DIED
+from tests.helpers import dying_shard
 
 N_APPS = 48
 SEED = 19
@@ -135,28 +140,28 @@ class TestCheckpointResume:
 
     def test_resume_requires_matching_run(self, tmp_path):
         checkpoint = tmp_path / "journal.jsonl"
-        run_farm(farm_config(n_apps=6, n_shards=2, checkpoint=str(checkpoint)))
+        run_farm(farm_config(n_apps=8, n_shards=2, checkpoint=str(checkpoint)))
         with pytest.raises(CheckpointError):
             run_farm(
                 farm_config(
-                    n_apps=6, corpus_seed=SEED + 1,
+                    n_apps=8, corpus_seed=SEED + 1,
                     n_shards=2, checkpoint=str(checkpoint), resume=True,
                 )
             )
 
     def test_incomplete_entry_raises_typed_error(self, tmp_path):
         checkpoint = tmp_path / "journal.jsonl"
-        run_farm(farm_config(n_apps=6, n_shards=2, checkpoint=str(checkpoint)))
+        run_farm(farm_config(n_apps=8, n_shards=2, checkpoint=str(checkpoint)))
         with checkpoint.open("a") as handle:
             handle.write('{"kind": "result", "index": 3}\n')  # no "analysis"
         with pytest.raises(CheckpointError) as excinfo:
             run_farm(
                 farm_config(
-                    n_apps=6, n_shards=2, checkpoint=str(checkpoint), resume=True
+                    n_apps=8, n_shards=2, checkpoint=str(checkpoint), resume=True
                 )
             )
         message = str(excinfo.value)
-        assert "journal.jsonl:8" in message
+        assert "journal.jsonl:10" in message  # header + 8 apps, then the bad line
         assert "analysis" in message
 
     def test_resume_without_checkpoint_rejected(self):
@@ -216,6 +221,44 @@ class TestFaultTolerance:
         assert [q.package for q in result.quarantined] == [slow]
         assert "AppTimeoutError" in result.quarantined[0].error
         assert result.report.n_total == 11
+
+
+class TestWorkerProcessDeath:
+    """A worker process dying mid-run costs only the shard it held."""
+
+    def test_one_death_is_recovered_without_quarantine(
+        self, serial_report, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "died"
+        monkeypatch.setattr(
+            coordinator_module, "run_shard",
+            functools.partial(dying_shard, run_shard, 9, str(marker)),
+        )
+        result = run_farm(farm_config(workers=2, n_shards=4))
+        assert marker.exists()
+        assert not result.quarantined
+        assert result.report.render_all() == serial_report.render_all()
+
+    def test_an_app_that_always_kills_its_worker_is_quarantined_alone(
+        self, serial_report, corpus_packages, monkeypatch
+    ):
+        poison = 13  # shard 1 of 4; the slowed app 0 runs in shard 0 beside it
+        slow = corpus_packages[0]
+        monkeypatch.setattr(
+            coordinator_module, "run_shard",
+            functools.partial(dying_shard, run_shard, poison, None),
+        )
+        result = run_farm(
+            farm_config(
+                workers=2, n_shards=4,
+                chaos=ChaosSpec(slow_packages=(slow,), slow_s=1.0),
+            )
+        )
+        assert [(q.index, q.error) for q in result.quarantined] == [(poison, WORKER_DIED)]
+        assert result.metrics["apps_analyzed"] == N_APPS - 1
+        expected = [app.to_dict() for app in serial_report.apps if app.corpus_index != poison]
+        assert [app.to_dict() for app in result.report.apps] == expected
+        assert slow in {app.package for app in result.report.apps}
 
 
 class TestVerdictCacheBound:

@@ -6,21 +6,27 @@ SIGKILL test spawns ``repro farm join`` as a subprocess so the kill is
 a genuine process death, not a simulated one.
 """
 
+import functools
 import json
 import os
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+import repro.farm.networker as networker_module
 from repro.core.config import DyDroidConfig
 from repro.corpus.generator import CorpusGenerator
 from repro.farm import ChaosSpec, FarmConfig, run_farm
+from repro.farm.coordinator import FarmRun
 from repro.farm.jobs import (
+    AppResult,
     ShardJob,
+    ShardResult,
     chaos_from_wire,
     chaos_to_wire,
     config_from_wire,
@@ -36,6 +42,7 @@ from repro.farm.networker import FarmJoinError, join_farm
 from repro.farm.worker import run_shard
 from repro.observe.metrics import MetricsRegistry
 from repro.service.client import ServiceClient, ServiceClientError
+from tests.helpers import dying_shard
 
 N_APPS = 12
 SEED = 19
@@ -247,6 +254,40 @@ class TestShardLedger:
         assert ledger.done()
 
 
+class TestConcurrentFolds:
+    def test_a_finish_that_sees_the_ledger_drained_sees_every_fold(
+        self, local_result, monkeypatch
+    ):
+        """A completion races a drain watcher, as an HTTP handler thread
+        races the coordinator's reaper: the result must hold every app."""
+        analyses = {app.corpus_index: app.to_dict() for app in local_result.report.apps}
+        run = FarmRun(farm_config(), lease_s=30.0)
+        entries = [run.lease("w") for _ in range(N_SHARDS)]
+        transition = run.ledger.complete
+
+        def preempted_complete(worker, entry_id):
+            accepted = transition(worker, entry_id)
+            time.sleep(0.05)  # the completer loses the CPU right here
+            return accepted
+
+        monkeypatch.setattr(run.ledger, "complete", preempted_complete)
+        finished = []
+
+        def watch():
+            while not run.drained():
+                time.sleep(0.001)
+            finished.append(run.finish(workers=1))
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        for entry in entries:
+            apps = [AppResult(i, "p{}".format(i), analyses[i]) for i in entry.job.indices]
+            run.complete(entry.entry_id, ShardResult(entry.job.shard_id, apps), "w")
+        watcher.join(timeout=30.0)
+        assert not watcher.is_alive()
+        assert finished[0].report.n_total == N_APPS
+
+
 # -- coordinator HTTP surface ------------------------------------------------------
 
 
@@ -384,6 +425,36 @@ class TestNetworkDrain:
         assert result.resumed_apps == N_APPS
         assert result.metrics["leases"]["granted"] == 0
         assert result.report.render_all() == local_result.report.render_all()
+
+
+class TestWorkerProcessDeath:
+    def test_a_dead_worker_process_splits_only_its_shard(
+        self, local_result, tmp_path, monkeypatch
+    ):
+        """One of a node's two worker processes dies once on shard 1."""
+        marker = tmp_path / "died"
+        monkeypatch.setattr(
+            networker_module, "run_shard",
+            functools.partial(dying_shard, run_shard, 4, str(marker)),
+        )
+        coordinator = FarmCoordinator(farm_config(), port=0, lease_s=30.0).start()
+        try:
+            summary = join_farm(
+                "127.0.0.1",
+                coordinator.port,
+                workers=2,
+                worker_id="nodeA",
+                telemetry_dir=str(tmp_path / "nodeA"),
+            )
+            result = coordinator.wait(timeout=120.0)
+        finally:
+            coordinator.stop()
+        assert marker.exists()
+        assert summary.shards_failed == 1
+        assert not result.quarantined
+        assert result.report.render_all() == local_result.report.render_all()
+        # only the dead shard was split, one entry per app
+        assert coordinator.ledger.snapshot()["entries"] == N_SHARDS + N_APPS // N_SHARDS
 
 
 class TestWorkerKilledMidShard:
