@@ -46,7 +46,7 @@ from typing import List, Optional
 
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid
-from repro.corpus.generator import CorpusGenerator, generate_corpus
+from repro.corpus.generator import CorpusGenerator, CorpusTooSmallError, generate_corpus
 from repro.triage.harness import DEFAULT_AUX_CORPORA, DEFAULT_SPLIT_RATIO
 from repro.triage.model import DEFAULT_EPOCHS, DEFAULT_L2, DEFAULT_LEARNING_RATE
 from repro.triage.tier import DEFAULT_THRESHOLD
@@ -1546,6 +1546,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except CorpusTooSmallError as exc:
+        # every verb that samples a market from --apps ends here
+        verb = " ".join(
+            filter(None, (args.command, getattr(args, args.command + "_command", None)))
+        )
+        raise SystemExit("{}: {}".format(verb, exc))
     except KeyboardInterrupt:
         # ctrl-C on a long farm run / serve session: one line, conventional
         # 128+SIGINT exit status, no traceback wall.

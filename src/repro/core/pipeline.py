@@ -27,8 +27,11 @@ from repro.observe.events import NULL_EVENT_LOG
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracer import NULL_TRACER, stage
 from repro.static_analysis.decompiler import DecompilationError, Decompiler
-from repro.static_analysis.malware.droidnative import Detection, DroidNative
-from repro.static_analysis.malware.families import training_corpus
+from repro.static_analysis.malware.droidnative import (
+    Detection,
+    DroidNative,
+    trained_droidnative,
+)
 from repro.static_analysis.obfuscation.detector import analyze_obfuscation
 from repro.static_analysis.prefilter import prefilter
 from repro.static_analysis.privacy.flowdroid import analyze_dex
@@ -109,14 +112,17 @@ class DyDroid:
             else verdict_store
         )
         self.decompiler = Decompiler(strict=True)
-        self.droidnative = DroidNative(threshold=self.config.droidnative_threshold)
-        if self.config.run_malware:
-            self.droidnative.train_corpus(
-                training_corpus(
-                    samples_per_family=self.config.train_samples_per_family,
-                    seed=self.config.training_seed,
-                )
+        #: read-only and shared by every DyDroid of this configuration in
+        #: the process: training is deterministic, so it runs once.
+        self.droidnative = (
+            trained_droidnative(
+                self.config.train_samples_per_family,
+                self.config.training_seed,
+                self.config.droidnative_threshold,
             )
+            if self.config.run_malware
+            else DroidNative(threshold=self.config.droidnative_threshold)
+        )
         capacity = self.config.verdict_cache_capacity
         self._detection_cache: LruCache[str, Optional[Detection]] = LruCache(capacity)
         self._privacy_cache: LruCache[str, tuple] = LruCache(capacity)

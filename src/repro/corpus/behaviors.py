@@ -27,7 +27,7 @@ from repro.android.nativelib import NativeLibrary
 CTX = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvGates:
     """Which Table VIII logic-bomb conditions guard a load."""
 

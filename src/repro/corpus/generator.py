@@ -16,12 +16,17 @@
 
 Each :class:`AppRecord` keeps its blueprint as ground truth so tests can
 score the analyses against what was actually generated.
+
+Blueprint sampling is a pure function of (profile, seed, n_apps), so a
+process samples each table once: :meth:`CorpusGenerator.sample_blueprints`
+answers from a bounded process-wide memo with a read-only table.
 """
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import FrozenInstanceError, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.android.apk import Apk
@@ -51,6 +56,7 @@ from repro.corpus import behaviors, names, sdks
 from repro.corpus.behaviors import CTX, BehaviorContext, EnvGates
 from repro.corpus.metadata import CATEGORIES, AppMetadata, sample_metadata
 from repro.corpus.profiles import FIG3_CATEGORY_WEIGHTS, CorpusProfile
+from repro.memo import BuildOnce
 from repro.runtime.device import DEFAULT_TIME_MS
 from repro.static_analysis.malware import families
 
@@ -64,6 +70,25 @@ PACKER_CONTAINERS = (
 
 MALWARE_SDK_PACKAGE = "com.pushmob.plugin"
 CHATHOOK_SDK_PACKAGE = "com.hookassist.core"
+
+#: blueprints the process-wide table memo keeps, summed over its tables
+#: (about 1.85 KB each): room for a 5,000-app market beside smaller ones.
+TABLE_MEMO_BLUEPRINTS = 10_000
+
+
+class CorpusTooSmallError(ValueError):
+    """The requested corpus has fewer apps than its planted roles need."""
+
+
+def check_corpus_size(n_apps: int, profile: Optional[CorpusProfile] = None) -> None:
+    """Raise :class:`CorpusTooSmallError` unless an ``n_apps`` market can
+    hold one distinct app per planted role (without sampling it)."""
+    needed = (profile or CorpusProfile()).planted_apps(n_apps)
+    if n_apps < needed:
+        raise CorpusTooSmallError(
+            "a corpus of {} apps is too small: its planted roles need {} "
+            "distinct apps".format(n_apps, needed)
+        )
 
 
 @dataclass
@@ -125,6 +150,38 @@ class AppBlueprint:
     shelf_generation: int = 0
 
 
+class SharedBlueprint(AppBlueprint):
+    """A blueprint of a memoized table, read by every job in the process.
+
+    Assigning to it raises :class:`dataclasses.FrozenInstanceError`;
+    ``copy.deepcopy`` returns a mutable :class:`AppBlueprint`, which is
+    how lineage planning derives later versions.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(
+            "cannot assign {!r}: blueprint {} belongs to a shared table; "
+            "mutate a copy.deepcopy of it".format(name, self.index)
+        )
+
+    def __delattr__(self, name: str) -> None:
+        self.__setattr__(name, None)
+
+    def __deepcopy__(self, memo: dict) -> AppBlueprint:
+        thawed = AppBlueprint.__new__(AppBlueprint)
+        thawed.__dict__.update(copy.deepcopy(vars(self), memo))
+        return thawed
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AppBlueprint):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+
+#: (profile, seed, n_apps) -> read-only table, weighed in blueprints.
+_TABLES: BuildOnce = BuildOnce(capacity=TABLE_MEMO_BLUEPRINTS, weight=len)
+
+
 @dataclass
 class AppRecord:
     """One corpus entry: the APK plus its runtime environment."""
@@ -157,7 +214,23 @@ class CorpusGenerator:
 
     # -- phase 1: blueprints ----------------------------------------------------
 
-    def sample_blueprints(self, n_apps: int) -> List[AppBlueprint]:
+    def sample_blueprints(self, n_apps: int) -> Tuple[SharedBlueprint, ...]:
+        """The market's ``n_apps`` blueprints: a read-only table shared by
+        every caller in the process that asks for the same (profile, seed,
+        n_apps).  Raises :class:`CorpusTooSmallError` (and caches nothing)
+        when the planted roles do not fit."""
+        # Fields are numbers or dicts of numbers, so this tuple identifies
+        # the profile; it is built on every call, so it must stay cheap.
+        profile = tuple(
+            tuple(value.items()) if isinstance(value, dict) else value
+            for value in vars(self.profile).values()
+        )
+        key = (type(self.profile), profile, self.seed, n_apps)
+        return _TABLES.get(key, lambda: self._sample(n_apps))
+
+    def _sample(self, n_apps: int) -> Tuple[SharedBlueprint, ...]:
+        """One sampling pass; the memo above is its only caller."""
+        check_corpus_size(n_apps, self.profile)
         profile = self.profile
         rng = random.Random("corpus-blueprints-{}".format(self.seed))
         blueprints: List[AppBlueprint] = []
@@ -220,7 +293,9 @@ class CorpusGenerator:
         # privacy draws: the paper corpus must stay byte-identical with the
         # pack's knobs off OR on (only planted apps may differ).
         self._plant_ecosystem_roles(blueprints, n_apps, taken)
-        return blueprints
+        for blueprint in blueprints:
+            blueprint.__class__ = SharedBlueprint
+        return tuple(blueprints)
 
     def _plant_rare_roles(
         self, rng: random.Random, blueprints: List[AppBlueprint], n_apps: int
@@ -254,7 +329,7 @@ class CorpusGenerator:
                     if blueprint.native_entity is None:
                         blueprint.native_entity = "third"
                 return blueprint
-            raise RuntimeError("corpus too small to plant all rare roles")
+            raise AssertionError("CorpusProfile.planted_apps undercounts the rare roles")
 
         # anti-decompilation apps (Table VI row 5).
         for _ in range(profile.planted_count(profile.n_anti_decompilation_apps, n_apps)):
@@ -354,7 +429,7 @@ class CorpusGenerator:
                 if blueprint.dex_entity is None:
                     blueprint.dex_entity = "third"
                 return blueprint
-            raise RuntimeError("corpus too small to plant all ecosystem roles")
+            raise AssertionError("CorpusProfile.planted_apps undercounts the ecosystem roles")
 
         for _ in range(profile.planted_count(profile.n_plugin_host_apps, n_apps)):
             claim().is_plugin_host = True
@@ -1004,10 +1079,12 @@ class CorpusGenerator:
         """Build only the records at ``indices`` of an ``n_apps`` corpus.
 
         Blueprint sampling is corpus-global (rare roles are planted over
-        the whole market), so the full blueprint pass always runs; only the
-        expensive APK assembly is restricted to the requested slice.  This
-        is how farm workers rematerialize their shard from ``(seed, n_apps,
-        index)`` without APK objects ever crossing a process boundary.
+        the whole market), so the whole table is needed even for one app;
+        it comes from the process-wide memo, so a process samples it at
+        most once, and only the expensive APK assembly is restricted to the
+        requested slice.  This is how the daemon builds one app of a
+        market per job from ``(seed, n_apps, index)``, with no APK object
+        crossing a process boundary.
         """
         blueprints = self.sample_blueprints(n_apps)
         out_of_range = [i for i in indices if not 0 <= i < n_apps]

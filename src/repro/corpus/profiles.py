@@ -180,3 +180,23 @@ class CorpusProfile:
         if paper_count <= 0:
             return 0
         return max(1, round(paper_count * self.scale(n_apps)))
+
+    def planted_apps(self, n_apps: int) -> int:
+        """Distinct apps the generator claims for planted roles in an
+        ``n_apps`` market: one per planted app of every rare role and
+        ecosystem (Chathook's double loaders reuse their carriers)."""
+        counts = (
+            self.n_anti_decompilation_apps,
+            self.n_dex_encryption_apps,
+            self.n_remote_fetch_apps,
+            self.n_swiss_code_monkeys_apps,
+            self.n_airpush_apps,
+            self.n_chathook_apps,
+            self.n_vuln_dex_external,
+            self.n_vuln_native_other_app,
+            self.n_plugin_host_apps,
+            self.n_split_apk_apps,
+            self.n_staged_downloader_apps,
+            self.n_self_debloating_apps,
+        )
+        return sum(self.planted_count(count, n_apps) for count in counts)

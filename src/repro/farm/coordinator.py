@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import DyDroidConfig
 from repro.core.report import MeasurementReport
+from repro.corpus.generator import check_corpus_size
 from repro.farm.checkpoint import CheckpointJournal
 from repro.farm.flight import StatusWriter
 from repro.farm.jobs import ChaosSpec, QuarantineRecord, ShardJob, ShardResult
@@ -119,6 +120,7 @@ class FarmRun:
     ) -> None:
         if config.resume and not config.checkpoint:
             raise ValueError("resume requires a checkpoint path")
+        check_corpus_size(config.n_apps)  # before any shard is leased
         # Join nodes run in other working directories, so the store path
         # is anchored before it goes into any job.
         self.store_path = os.path.abspath(config.verdict_store) if config.verdict_store else None

@@ -332,9 +332,9 @@ class AnalysisService:
     def _pipeline_for_thread(self, spec: JobSpec) -> DyDroid:
         # One pipeline per (worker thread, firewall policy, triage
         # override): tenants that submit under different policies or
-        # triage settings must not share enforcement/gate config, but
-        # everything expensive (DroidNative training, caches) stays
-        # thread-resident.
+        # triage settings must not share enforcement/gate config.  The
+        # verdict LRUs stay thread-resident; the trained DroidNative is
+        # one read-only instance shared by every pipeline in the process.
         pipelines = getattr(self._local, "pipelines", None)
         if pipelines is None:
             pipelines = self._local.pipelines = {}

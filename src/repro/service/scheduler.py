@@ -7,9 +7,10 @@ its worker down: any exception that escapes execution is recorded by the
 service against the job, and the loop continues.
 
 Each worker thread lazily owns one :class:`~repro.core.pipeline.DyDroid`
-instance (DroidNative training happens once per thread, not per job) --
-the daemon-side analogue of a farm worker process re-using its pipeline
-across a whole shard.
+instance per tenant configuration, which keeps its verdict LRUs across
+jobs.  The expensive artifacts are process-wide, not per thread: every
+thread's pipeline shares the one trained DroidNative, and every job reads
+its market from the one memoized blueprint table.
 
 ``drain()`` is the graceful-shutdown path: close the queue to new work,
 then join the workers, who exit only once the queue is empty -- queued

@@ -3,9 +3,10 @@
 Two spec kinds cover the intake paths DyDroid's crawl had:
 
 - ``corpus`` -- a ``(seed, n_apps, index)`` reference into the seeded
-  market.  The daemon rematerializes the app the same way farm workers
-  do (:meth:`CorpusGenerator.records_at`), so submissions stay tiny and
-  the same reference always denotes the same APK bytes.
+  market.  The daemon assembles the one app from the market's blueprint
+  table (:meth:`CorpusGenerator.records_at`), which the process samples
+  once and every later job of that market reuses, so submissions stay
+  tiny and the same reference always denotes the same APK bytes.
 - ``apk``    -- an uploaded package, base64 of :meth:`Apk.to_bytes`.
   Store-page metadata is unknown for uploads, so a neutral blueprint is
   synthesized around the manifest package name.

@@ -90,6 +90,9 @@ class StoreIndex:
         db = sqlite3.connect(str(self.path), timeout=5.0, check_same_thread=False)
         db.isolation_level = None  # explicit transactions only
         try:
+            # No fsyncs: the sidecar is derived data that every read checks
+            # against the JSONL and that rebuilds when stale (architecture §18).
+            db.execute("PRAGMA synchronous=OFF")
             self._ensure_schema(db, self._store_size)
         except BaseException:
             db.close()

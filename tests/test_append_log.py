@@ -549,6 +549,23 @@ def test_get_commits_nothing_and_put_at_most_once(tmp_path, commits):
             assert len(commits) == before
 
 
+def test_sidecar_connection_does_not_fsync(tmp_path, monkeypatch):
+    """The sidecar is derived data: its commits skip sqlite's fsyncs."""
+    opened = []
+    connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    with VerdictStore(tmp_path / "s.jsonl", CONFIG) as store:
+        store.put_detection("d0", DETECTION)
+        assert opened
+        for conn in opened:
+            assert conn.execute("PRAGMA synchronous").fetchone() == (0,)
+
+
 def test_no_handle_rereads_its_own_appends(tmp_path, monkeypatch):
     reads, own = {}, {}
     line, scan, append = AppendLog._line, AppendLog._scan, AppendLog.append

@@ -1,11 +1,18 @@
 """Tests for the synthetic market generator: calibration, planting, assembly."""
 
+import copy
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from repro.corpus.behaviors import EnvGates, extract_url_constants
-from repro.corpus.generator import AppBlueprint, CorpusGenerator, generate_corpus
+from repro.corpus.generator import (
+    AppBlueprint,
+    CorpusGenerator,
+    CorpusTooSmallError,
+    generate_corpus,
+)
 from repro.corpus.metadata import CATEGORIES, sample_metadata
 from repro.corpus.profiles import CorpusProfile, FIG3_CATEGORY_WEIGHTS
 from repro.corpus.names import package_name
@@ -180,5 +187,64 @@ class TestAssembly:
         assert len(set(CATEGORIES)) == 42
 
     def test_too_small_corpus_raises(self):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(CorpusTooSmallError, match="corpus of 5 apps"):
             CorpusGenerator(seed=0).sample_blueprints(5)
+
+    @pytest.mark.parametrize("ecosystems", [False, True])
+    def test_planted_apps_is_the_smallest_corpus(self, ecosystems):
+        from repro.ecosystems import ecosystems_profile
+
+        profile = ecosystems_profile() if ecosystems else CorpusProfile()
+        smallest = next(n for n in range(1, 100) if n >= profile.planted_apps(n))
+        assert smallest == (13 if ecosystems else 8)
+        assert len(CorpusGenerator(profile, seed=4).sample_blueprints(smallest)) == smallest
+        with pytest.raises(CorpusTooSmallError, match="{} apps".format(smallest - 1)):
+            CorpusGenerator(profile, seed=4).sample_blueprints(smallest - 1)
+
+
+class TestSharedTable:
+    """One read-only blueprint table per (profile, seed, n_apps) per process."""
+
+    def test_table_is_shared_and_read_only(self):
+        table = CorpusGenerator(seed=3).sample_blueprints(40)
+        assert CorpusGenerator(seed=3).sample_blueprints(40) is table
+        assert CorpusGenerator(seed=3).sample_blueprints(41) is not table
+        other = CorpusProfile(p_reflection=0.5)
+        assert CorpusGenerator(other, seed=3).sample_blueprints(40) is not table
+        assert isinstance(table, tuple)
+        blueprint = table[0]
+        with pytest.raises(FrozenInstanceError):
+            blueprint.crashy = True
+        with pytest.raises(FrozenInstanceError):
+            del blueprint.package
+        with pytest.raises(FrozenInstanceError):
+            blueprint.malware_gates.location = True
+        assert not blueprint.crashy
+
+    def test_deepcopy_is_mutable_and_leaves_the_table_alone(self):
+        table = CorpusGenerator(seed=3).sample_blueprints(40)
+        copied = copy.deepcopy(table[5])
+        assert type(copied) is AppBlueprint
+        assert copied == table[5] and table[5] == copied
+        copied.is_packed = not copied.is_packed
+        assert copied != table[5]
+        assert CorpusGenerator(seed=3).sample_blueprints(40)[5].is_packed != copied.is_packed
+
+    def test_shared_table_builds_the_same_corpus(self):
+        """The paper corpus is unchanged: a fresh table (no memo) assembles
+        byte-identical APKs to the memoized one."""
+        generator = CorpusGenerator(seed=21)
+        memoized = [r.apk.sha256() for r in generator.generate(30)]
+        fresh = [generator.build_record(b).apk.sha256() for b in generator._sample(30)]
+        assert memoized == fresh
+
+    def test_failed_sampling_is_not_cached(self, monkeypatch):
+        calls = []
+        sample = CorpusGenerator._sample
+        monkeypatch.setattr(
+            CorpusGenerator, "_sample", lambda self, n: calls.append(n) or sample(self, n)
+        )
+        for _ in range(2):
+            with pytest.raises(CorpusTooSmallError):
+                CorpusGenerator(seed=99).sample_blueprints(7)
+        assert calls == [7, 7]

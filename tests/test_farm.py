@@ -311,6 +311,19 @@ class TestFarmCli:
         assert parsed["n_total"] == 12
         assert MeasurementReport.from_dict(parsed).n_total == 12
 
+    @pytest.mark.parametrize("verb", [["measure"], ["farm", "run", "--workers", "2"]])
+    def test_too_small_corpus_is_a_clean_error(self, verb, monkeypatch):
+        def lease(*args, **kwargs):
+            raise AssertionError("a shard was leased")
+
+        monkeypatch.setattr("repro.farm.lease.ShardLedger.lease", lease)
+        with pytest.raises(SystemExit) as exited:
+            main(verb + ["--apps", "6", "--seed", "7", "--train", "2", "--no-replays"])
+        assert str(exited.value) == (
+            "{}: a corpus of 6 apps is too small: its planted roles need 8 "
+            "distinct apps".format(" ".join(verb[:2]))
+        )
+
     def test_farm_matches_measure_cli(self, capsys):
         assert main([
             "measure", "--apps", "20", "--seed", "9", "--train", "2",

@@ -533,27 +533,45 @@ class TestDrain:
             service.drain(timeout=60.0)
 
     def test_serve_cli_drains_on_sigterm(self, tmp_path):
-        """`repro serve` + SIGTERM: clean drain, exit code 0."""
+        """`repro serve` + two `repro submit --wait` + SIGTERM: the repeat
+        is a cache hit, the drain is clean, the journal holds the one
+        analysis and the verdict store its verdicts."""
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        journal, store = tmp_path / "service.jsonl", tmp_path / "verdicts.jsonl"
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--workers", "1", "--train", "2", "--no-replays",
+                "--workers", "2", "--train", "2", "--no-replays",
+                "--persist", str(journal), "--verdict-store", str(store),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
         )
+
+        def submit(port):
+            # seed 7 / 24 apps / index 1 loads payloads, so verdicts are stored
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "submit", "--port", str(port),
+                    "--seed", "7", "--apps", "24", "--index", "1", "--wait",
+                ],
+                check=True, capture_output=True, text=True, timeout=300, env=env,
+            )
+            return json.loads(done.stdout)
+
         try:
             banner = process.stdout.readline()
             assert "listening on" in banner, banner
             port = int(banner.split(":")[-1].split()[0].rstrip(")"))
-            client = ServiceClient("127.0.0.1", port, timeout=30.0)
-            job = client.wait(client.submit(SPEC)["job_id"], timeout=120.0)
-            assert job["state"] == "done"
+            first = submit(port)
+            assert first["state"] == "done" and not first["cached"], first
+            second = submit(port)
+            assert second["state"] == "done" and second["cached"], second
+            assert second["digest"] == first["digest"]
             process.send_signal(signal.SIGTERM)
             output, _ = process.communicate(timeout=120)
         finally:
@@ -562,6 +580,44 @@ class TestDrain:
                 process.communicate()
         assert process.returncode == 0, output
         assert "drained: 1 completed" in output, output
+        lines = journal.read_text().splitlines()
+        assert len(lines) == 2, lines  # header + the one analyzed APK
+        assert json.loads(lines[1])["digest"] == first["digest"]
+        store_lines = [json.loads(line) for line in store.read_text().splitlines()]
+        assert store_lines[0]["kind"] == "header"
+        assert len(store_lines) > 1, "verdict store stayed empty"
+
+
+class TestFailedJob:
+    def test_a_failing_job_fails_alone_and_is_not_memoized(self, monkeypatch):
+        """A job whose build raises ends FAILED with the error named; the
+        worker goes on, and the same spec fails again by sampling again."""
+        passes = []
+        sample = CorpusGenerator._sample
+        monkeypatch.setattr(
+            CorpusGenerator, "_sample", lambda self, n: passes.append(n) or sample(self, n)
+        )
+        too_small = {"kind": "corpus", "seed": 7, "n_apps": 6, "index": 0}
+
+        def settle(client, spec):
+            job_id = client.submit(spec)["job_id"]
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline:
+                job = client.job(job_id)
+                if job["state"] in ("done", "failed"):
+                    return job
+                time.sleep(0.02)
+            raise AssertionError("job {} never settled".format(job_id))
+
+        with running_service() as (service, client):
+            failed = settle(client, too_small)
+            assert failed["state"] == "failed"
+            assert failed["error"].startswith("CorpusTooSmallError: a corpus of 6 apps")
+            assert client.stats()["counters"]["service.jobs.failed"] == 1
+            assert settle(client, SPEC)["state"] == "done"
+            assert settle(client, too_small)["state"] == "failed"
+            assert client.stats()["counters"]["service.jobs.failed"] == 2
+        assert passes.count(6) == 2
 
 
 class TestDrainDeadline:
