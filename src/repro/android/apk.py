@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.android.dex import DexFile, is_dex_bytes, is_encrypted_dex_bytes
 from repro.android.manifest import AndroidManifest
@@ -163,10 +163,6 @@ class Apk:
     @property
     def is_anti_repackaging(self) -> bool:
         return ANTI_REPACKAGING_ENTRY in self.entries
-
-    def iter_entries(self) -> Iterator[ApkEntry]:
-        for path in sorted(self.entries):
-            yield ApkEntry(path, self.entries[path])
 
     # -- serialization ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ import hashlib
 
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Generic, Optional, Sequence, Set, TypeVar, Union
+from typing import Callable, Dict, Generic, NamedTuple, Optional, Sequence, Set, TypeVar, Union
 
 from repro.core.config import DyDroidConfig
 from repro.core.report import AppAnalysis, MeasurementReport, PayloadVerdict
@@ -79,8 +79,62 @@ class LruCache(Generic[K, V]):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __bool__(self) -> bool:
-        return bool(self._entries)
+
+def _droidnative(dydroid: DyDroid, payload: InterceptedPayload) -> Optional[Detection]:
+    binary = payload.as_dex() or payload.as_native()
+    if binary is None:
+        return None
+    dydroid.metrics.counter("analyzer.droidnative.invocations").inc()
+    return dydroid.droidnative.detect(binary, tracer=dydroid.tracer)
+
+
+def _flowdroid(dydroid: DyDroid, payload: InterceptedPayload) -> tuple:
+    dex = payload.as_dex()
+    if dex is None:
+        return ()
+    dydroid.metrics.counter("analyzer.flowdroid.invocations").inc()
+    return tuple(analyze_dex(dex, tracer=dydroid.tracer))
+
+
+class Analyzer(NamedTuple):
+    """What differs between the static analyzers :meth:`DyDroid._resolve`
+    fronts (DroidNative for malware, FlowDroid for privacy)."""
+
+    #: names the ``cache.<kind>.*``/``store.<kind>.*`` counters, the
+    #: ``<kind>_cached``/``<kind>_stored`` span attributes, the
+    #: ``stage.store`` tier and the store's ``get_<kind>``/``put_<kind>``.
+    kind: str
+    #: the :class:`PayloadVerdict` field the verdict fills.
+    field: str
+    #: the :class:`DyDroidConfig` switch that enables the analyzer.
+    switch: str
+    #: the payload kinds it reads.
+    reads: Sequence[PayloadKind]
+    #: decodes the payload and runs the analyzer on it.
+    compute: Callable[[DyDroid, InterceptedPayload], object]
+    #: the stand-in verdict a decided tier-0 gate gives.
+    stand_in: Callable[[TriageGate, TriageDecision], object]
+    #: the analyzer's fields of the ``store.publish`` event.
+    published: Callable[[object], Dict[str, object]]
+
+
+ANALYZERS: Sequence[Analyzer] = (
+    Analyzer(
+        "detection", "detection", "run_malware",
+        (PayloadKind.DEX, PayloadKind.NATIVE, PayloadKind.APK),
+        compute=_droidnative,
+        stand_in=lambda gate, decision: (
+            gate.suspected_detection(decision) if decision.label == "hazard" else None
+        ),
+        published=lambda detection: {"malicious": detection is not None},
+    ),
+    Analyzer(
+        "privacy", "leaks", "run_privacy", (PayloadKind.DEX, PayloadKind.APK),
+        compute=_flowdroid,
+        stand_in=lambda gate, decision: (),
+        published=lambda leaks: {"leaks": len(leaks)},
+    ),
+)
 
 
 class DyDroid:
@@ -123,9 +177,10 @@ class DyDroid:
             if self.config.run_malware
             else DroidNative(threshold=self.config.droidnative_threshold)
         )
+        #: per-process verdict caches, one per analyzer kind, keyed by
+        #: payload digest.
         capacity = self.config.verdict_cache_capacity
-        self._detection_cache: LruCache[str, Optional[Detection]] = LruCache(capacity)
-        self._privacy_cache: LruCache[str, tuple] = LruCache(capacity)
+        self._verdict_caches = {analyzer.kind: LruCache(capacity) for analyzer in ANALYZERS}
         #: tier-0 behavioral-fingerprint gate (None when no model is
         #: configured); consulted per payload after the LRU and the
         #: verdict-store probe both miss.
@@ -352,131 +407,59 @@ class DyDroid:
         with self.tracer.span(
             "payload", digest=digest[:12], kind=payload.kind.value
         ) as span:
-            if self.config.run_malware and payload.kind in (
-                PayloadKind.DEX,
-                PayloadKind.NATIVE,
-                PayloadKind.APK,
-            ):
-                self.metrics.counter("cache.detection.lookups").inc()
-                self.metrics.distinct("cache.detection.digests").add(digest)
-                if digest not in self._detection_cache:
-                    self.metrics.counter("cache.detection.miss").inc()
-                    detection, from_triage = self._detect(
-                        payload, digest, span, decision
-                    )
-                    verdict.detection = detection
-                    if from_triage:
-                        # Tier-0 verdict: never cached, never published --
-                        # a misprediction must not outlive this app.
-                        verdict.verdict_source = "triage"
-                        span.set(triage=True)
-                    else:
-                        self._detection_cache[digest] = detection
-                else:
-                    self.metrics.counter("cache.detection.hit").inc()
-                    span.set(detection_cached=True)
-                    verdict.detection = self._detection_cache[digest]
-                if verdict.detection is not None:
-                    span.set(malicious=verdict.detection.family)
-
-            if self.config.run_privacy and payload.kind in (
-                PayloadKind.DEX,
-                PayloadKind.APK,
-            ):
-                self.metrics.counter("cache.privacy.lookups").inc()
-                self.metrics.distinct("cache.privacy.digests").add(digest)
-                if digest not in self._privacy_cache:
-                    self.metrics.counter("cache.privacy.miss").inc()
-                    leaks, from_triage = self._leaks(payload, digest, span, decision)
-                    verdict.leaks = leaks
-                    if from_triage:
-                        verdict.verdict_source = "triage"
-                        span.set(triage=True)
-                    else:
-                        self._privacy_cache[digest] = leaks
-                else:
-                    self.metrics.counter("cache.privacy.hit").inc()
-                    span.set(privacy_cached=True)
-                    verdict.leaks = self._privacy_cache[digest]
+            for analyzer in ANALYZERS:
+                if getattr(self.config, analyzer.switch) and payload.kind in analyzer.reads:
+                    value = self._resolve(analyzer, payload, verdict, decision, span)
+                    setattr(verdict, analyzer.field, value)
+            if verdict.detection is not None:
+                span.set(malicious=verdict.detection.family)
         return verdict
 
-    def _detect(
-        self,
-        payload: InterceptedPayload,
-        digest: str,
-        span,
-        decision: Optional[TriageDecision] = None,
+    def _resolve(
+        self, analyzer: Analyzer, payload: InterceptedPayload, verdict: PayloadVerdict,
+        decision: Optional[TriageDecision], span,
     ):
-        """Tier-2 probe -> tier-0 gate -> compute -> publish for one
-        detection verdict.  Returns ``(detection, from_triage)``; triage
-        results are synthesized, not computed, and must not be published.
+        """One payload's verdict from ``analyzer``: the first tier that
+        answers wins -- the per-process LRU, the cross-process verdict
+        store, the tier-0 gate -- else the analyzer computes it and the
+        verdict is published to the store.  LRU misses answered by the
+        store or the analyzer fill the LRU; a triage stand-in is neither
+        cached nor published, so a misprediction cannot outlive this app.
         """
-        if self.verdict_store is not None:
-            with stage(self.tracer, self.metrics, "store", tier="detection"):
-                found, detection = self.verdict_store.get_detection(digest)
-            if found:
-                self.metrics.counter("store.detection.hit").inc()
-                span.set(detection_stored=True)
-                return detection, False
-            self.metrics.counter("store.detection.miss").inc()
-        if decision is not None and decision.decided:
-            self.metrics.counter("triage.analyzers_skipped").inc()
-            detection = (
-                self.triage.suspected_detection(decision)
-                if decision.label == "hazard"
-                else None
-            )
-            return detection, True
-        binary = payload.as_dex() or payload.as_native()
-        if binary is not None:
-            self.metrics.counter("analyzer.droidnative.invocations").inc()
-        detection = (
-            self.droidnative.detect(binary, tracer=self.tracer)
-            if binary is not None
-            else None
-        )
-        if self.verdict_store is not None:
-            with stage(self.tracer, self.metrics, "store", tier="detection"):
-                self.verdict_store.put_detection(digest, detection)
-            self.events.emit(
-                "store.publish", tier="detection", digest=digest[:12],
-                malicious=detection is not None,
-            )
-        return detection, False
+        kind, digest = analyzer.kind, verdict.digest
+        counter = self.metrics.counter
+        counter("cache." + kind + ".lookups").inc()
+        self.metrics.distinct("cache." + kind + ".digests").add(digest)
+        cache = self._verdict_caches[kind]
+        if digest in cache:
+            counter("cache." + kind + ".hit").inc()
+            span.set(**{kind + "_cached": True})
+            return cache[digest]
+        counter("cache." + kind + ".miss").inc()
 
-    def _leaks(
-        self,
-        payload: InterceptedPayload,
-        digest: str,
-        span,
-        decision: Optional[TriageDecision] = None,
-    ):
-        """Tier-2 probe -> tier-0 gate -> compute -> publish for one
-        privacy verdict.  Returns ``(leaks, from_triage)``.
-        """
-        if self.verdict_store is not None:
-            with stage(self.tracer, self.metrics, "store", tier="privacy"):
-                found, leaks = self.verdict_store.get_privacy(digest)
-            if found:
-                self.metrics.counter("store.privacy.hit").inc()
-                span.set(privacy_stored=True)
-                return leaks, False
-            self.metrics.counter("store.privacy.miss").inc()
-        if decision is not None and decision.decided:
-            self.metrics.counter("triage.analyzers_skipped").inc()
-            return (), True
-        dex = payload.as_dex()
-        if dex:
-            self.metrics.counter("analyzer.flowdroid.invocations").inc()
-        leaks = tuple(analyze_dex(dex, tracer=self.tracer)) if dex else ()
-        if self.verdict_store is not None:
-            with stage(self.tracer, self.metrics, "store", tier="privacy"):
-                self.verdict_store.put_privacy(digest, leaks)
-            self.events.emit(
-                "store.publish", tier="privacy", digest=digest[:12],
-                leaks=len(leaks),
-            )
-        return leaks, False
+        store, found = self.verdict_store, False
+        if store is not None:
+            with stage(self.tracer, self.metrics, "store", tier=kind):
+                found, value = getattr(store, "get_" + kind)(digest)
+            counter("store." + kind + (".hit" if found else ".miss")).inc()
+        if found:
+            span.set(**{kind + "_stored": True})
+        elif decision is not None and decision.decided:
+            counter("triage.analyzers_skipped").inc()
+            verdict.verdict_source = "triage"
+            span.set(triage=True)
+            return analyzer.stand_in(self.triage, decision)
+        else:
+            value = analyzer.compute(self, payload)
+            if store is not None:
+                with stage(self.tracer, self.metrics, "store", tier=kind):
+                    getattr(store, "put_" + kind)(digest, value)
+                self.events.emit(
+                    "store.publish", tier=kind, digest=digest[:12],
+                    **analyzer.published(value),
+                )
+        cache[digest] = value
+        return value
 
     def close(self) -> None:
         """Release the verdict store if this pipeline opened it from a path."""
@@ -485,7 +468,7 @@ class DyDroid:
 
     def _replay(self, record: AppRecord) -> Dict[str, Set[str]]:
         """Which paths load under each Table VIII environment config."""
-        engine = AppExecutionEngine(self._engine_options(record))
+        engine = AppExecutionEngine(self._engine_options(record), tracer=self.tracer)
         results = engine.replay_under_configs(
             record.apk, self.config.replay_configs
         )

@@ -362,9 +362,6 @@ class MeasurementReport:
     def n_total(self) -> int:
         return len(self.apps)
 
-    def decompiled_apps(self) -> List[AppAnalysis]:
-        return [a for a in self.apps if not a.decompile_failed]
-
     def dex_candidates(self) -> List[AppAnalysis]:
         return [a for a in self.apps if a.has_dex_dcl_code]
 

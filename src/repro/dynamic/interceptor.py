@@ -167,14 +167,3 @@ class CodeInterceptor:
             # Storage exhaustion is handled by the engine's cleanup cycle;
             # the host-side copy in `payloads` is already safe.
             pass
-
-    # -- queries ---------------------------------------------------------------------
-
-    def payload_for(self, path: str) -> Optional[InterceptedPayload]:
-        return self._by_path.get(path)
-
-    def dex_payloads(self) -> List[InterceptedPayload]:
-        return [p for p in self.payloads if p.kind is PayloadKind.DEX]
-
-    def native_payloads(self) -> List[InterceptedPayload]:
-        return [p for p in self.payloads if p.kind is PayloadKind.NATIVE]

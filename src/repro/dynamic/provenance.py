@@ -15,7 +15,7 @@ Two of the paper's three "critical questions" are answered here:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional, Sequence, Set, Union
+from typing import Optional, Union
 
 from repro.dynamic.download_tracker import DownloadTracker
 from repro.runtime.instrumentation import DexLoadEvent, NativeLoadEvent
@@ -48,29 +48,3 @@ def entity_of(event: LoadEvent, app_package: Optional[str] = None) -> Entity:
     if shares_app_package(event.call_site, package):
         return Entity.OWN
     return Entity.THIRD_PARTY
-
-
-def entities_of(events: Iterable[LoadEvent], app_package: str) -> Set[Entity]:
-    """The distinct entities behind a collection of events.
-
-    Table IV buckets apps into third-party-only, own-only, and both; callers
-    test membership on the returned set.
-    """
-    return {
-        entity_of(event, app_package)
-        for event in events
-        if entity_of(event, app_package) is not Entity.UNKNOWN
-    }
-
-
-def remote_loaded_paths(
-    events: Sequence[LoadEvent], tracker: DownloadTracker
-) -> Set[str]:
-    """The loaded paths whose contents were fetched over the network."""
-    loaded: Set[str] = set()
-    for event in events:
-        if isinstance(event, DexLoadEvent):
-            loaded.update(event.dex_paths)
-        else:
-            loaded.add(event.lib_path)
-    return {path for path in loaded if tracker.is_remote(path)}

@@ -41,6 +41,7 @@ __all__ = [
     "AppVersion",
     "LineageSpec",
     "build_version_record",
+    "plan_lineage",
     "plan_lineages",
 ]
 
@@ -228,6 +229,52 @@ def _mutate(
     return mutated, tuple(applied)
 
 
+def plan_lineage(
+    blueprint: AppBlueprint, n_versions: int, seed: int, spec: LineageSpec
+) -> AppLineage:
+    """Plan ``n_versions`` of one app of the ``seed`` corpus.
+
+    Each lineage draws from its own ``Random("lineage-{seed}-{index}")``,
+    so one app plans identically alone or as part of its whole corpus.
+    """
+    rng = random.Random("lineage-{}-{}".format(seed, blueprint.index))
+    base = copy.deepcopy(blueprint)
+    if _uses_generic_sdk(base):
+        # Pin the analytics vendor from version 1 so a later SDK swap
+        # is guaranteed to actually change vendors (the swap draws
+        # from the complement of the current pin).
+        base.sdk_vendor = rng.choice(ANALYTICS_VENDORS)
+    lineage = AppLineage(index=blueprint.index, package=blueprint.package)
+    version_code = 1 + rng.randint(0, 3)
+    lineage.versions.append(
+        AppVersion(
+            version=1,
+            version_code=version_code,
+            release_offset_ms=0,
+            mutations=(),
+            blueprint=base,
+        )
+    )
+    current = base
+    release_offset_ms = 0
+    for ordinal in range(2, n_versions + 1):
+        current, applied = _mutate(rng, current, spec)
+        version_code += 1 + rng.randint(0, 4)
+        release_offset_ms += (
+            rng.randint(_MIN_RELEASE_GAP_DAYS, _MAX_RELEASE_GAP_DAYS) * _DAY_MS
+        )
+        lineage.versions.append(
+            AppVersion(
+                version=ordinal,
+                version_code=version_code,
+                release_offset_ms=release_offset_ms,
+                mutations=applied,
+                blueprint=current,
+            )
+        )
+    return lineage
+
+
 def plan_lineages(
     n_apps: int,
     n_versions: int,
@@ -245,48 +292,8 @@ def plan_lineages(
     if n_versions < 1:
         raise ValueError("n_versions must be >= 1")
     spec = spec or LineageSpec()
-    generator = CorpusGenerator(profile=profile, seed=seed)
-    blueprints = generator.sample_blueprints(n_apps)
-
-    lineages: List[AppLineage] = []
-    for blueprint in blueprints:
-        rng = random.Random("lineage-{}-{}".format(seed, blueprint.index))
-        base = copy.deepcopy(blueprint)
-        if _uses_generic_sdk(base):
-            # Pin the analytics vendor from version 1 so a later SDK swap
-            # is guaranteed to actually change vendors (the swap draws
-            # from the complement of the current pin).
-            base.sdk_vendor = rng.choice(ANALYTICS_VENDORS)
-        lineage = AppLineage(index=blueprint.index, package=blueprint.package)
-        version_code = 1 + rng.randint(0, 3)
-        lineage.versions.append(
-            AppVersion(
-                version=1,
-                version_code=version_code,
-                release_offset_ms=0,
-                mutations=(),
-                blueprint=base,
-            )
-        )
-        current = base
-        release_offset_ms = 0
-        for ordinal in range(2, n_versions + 1):
-            current, applied = _mutate(rng, current, spec)
-            version_code += 1 + rng.randint(0, 4)
-            release_offset_ms += (
-                rng.randint(_MIN_RELEASE_GAP_DAYS, _MAX_RELEASE_GAP_DAYS) * _DAY_MS
-            )
-            lineage.versions.append(
-                AppVersion(
-                    version=ordinal,
-                    version_code=version_code,
-                    release_offset_ms=release_offset_ms,
-                    mutations=applied,
-                    blueprint=current,
-                )
-            )
-        lineages.append(lineage)
-    return lineages
+    blueprints = CorpusGenerator(profile=profile, seed=seed).sample_blueprints(n_apps)
+    return [plan_lineage(blueprint, n_versions, seed, spec) for blueprint in blueprints]
 
 
 def build_version_record(

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid
 from repro.corpus.generator import CorpusGenerator
-from repro.evolution.lineage import LineageSpec, build_version_record, plan_lineages
+from repro.evolution.lineage import LineageSpec, build_version_record, plan_lineage
 from repro.farm.jobs import AppResult
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.tracer import NULL_TRACER, Tracer
@@ -63,16 +63,15 @@ def run_lineage_shard(job: LineageShardJob) -> LineageShardResult:
     tracer = Tracer() if job.trace else NULL_TRACER
     registry = MetricsRegistry()
     generator = CorpusGenerator(seed=job.seed)
-    lineages = plan_lineages(
-        job.n_apps, job.n_versions, seed=job.seed, spec=job.spec
-    )
+    blueprints = generator.sample_blueprints(job.n_apps)
     dydroid = DyDroid(
         job.config, tracer=tracer, metrics=registry, verdict_store=job.verdict_store
     )
     result = LineageShardResult(shard_id=job.shard_id, version=job.version)
 
     for index in job.indices:
-        app_version = lineages[index].at(job.version)
+        lineage = plan_lineage(blueprints[index], job.n_versions, job.seed, job.spec)
+        app_version = lineage.at(job.version)
         build_started = time.perf_counter()
         with tracer.span(
             "evolve.build", index=index, version=job.version

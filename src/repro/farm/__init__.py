@@ -58,17 +58,6 @@ from repro.farm.networker import FarmJoinError, JoinSummary, join_farm
 from repro.farm.shards import ShardSpec, plan_shards
 from repro.farm.worker import AppTimeoutError, run_shard
 
-
-def __getattr__(name: str):
-    if name == "LatencyHistogram":
-        # deprecated path; repro.farm.metrics.__getattr__ emits the warning.
-        from repro.farm import metrics
-
-        return metrics.LatencyHistogram
-    raise AttributeError(
-        "module {!r} has no attribute {!r}".format(__name__, name)
-    )
-
 __all__ = [
     "AppResult",
     "AppTimeoutError",
@@ -82,7 +71,6 @@ __all__ = [
     "FarmResult",
     "FlightRecorder",
     "JoinSummary",
-    "LatencyHistogram",
     "LeaseEntry",
     "QuarantineRecord",
     "ShardLedger",

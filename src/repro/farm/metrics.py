@@ -8,18 +8,11 @@ folds them in with order-independent merges, so the registry -- like the
 merged report -- is identical for every worker count and completion
 order.  ``to_dict`` is the structured JSON summary ``repro farm run
 --metrics-out`` writes.
-
-:class:`LatencyHistogram` moved to :mod:`repro.observe.metrics`;
-importing it from here still works but emits a :class:`DeprecationWarning`
-via module-level ``__getattr__`` (PEP 562).  The shim is scheduled for
-removal in 2.0 -- new code should import
-``from repro.observe.metrics import LatencyHistogram`` directly.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Dict, Optional
 
 from repro.observe.metrics import (
@@ -28,24 +21,7 @@ from repro.observe.metrics import (
     verdict_store_summary,
 )
 
-__all__ = ["FarmMetrics", "LatencyHistogram"]
-
-
-def __getattr__(name: str):
-    if name == "LatencyHistogram":
-        warnings.warn(
-            "repro.farm.metrics.LatencyHistogram is deprecated and this "
-            "re-export will be removed in repro 2.0; use "
-            "'from repro.observe.metrics import LatencyHistogram' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.observe.metrics import LatencyHistogram
-
-        return LatencyHistogram
-    raise AttributeError(
-        "module {!r} has no attribute {!r}".format(__name__, name)
-    )
+__all__ = ["FarmMetrics"]
 
 
 class FarmMetrics:

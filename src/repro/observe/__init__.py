@@ -10,8 +10,7 @@ answers those questions:
   :data:`NULL_TRACER` for the disabled path;
 - :mod:`repro.observe.metrics` -- :class:`MetricsRegistry` of counters /
   gauges / histograms / distinct-sets that serializes and merges with
-  order-independent operations (:class:`LatencyHistogram` moved here
-  from ``repro.farm.metrics``, which re-exports it);
+  order-independent operations (and its :class:`LatencyHistogram`);
 - :mod:`repro.observe.export`  -- JSONL and Chrome ``trace_event``
   writers plus a loader for ``repro trace summary``;
 - :mod:`repro.observe.summary` -- per-stage p50/p95/max table and the

@@ -6,15 +6,14 @@ with ``merge_dict`` using only order-independent operations (sum, max,
 set union), so merging shard registries in any completion order yields
 the same result.
 
-:class:`LatencyHistogram` lives here now (it started in
-``repro.farm.metrics``, which keeps a re-export shim); ``record`` is a
-``bisect`` over the fixed 1-2-5 bucket ladder instead of a linear scan.
+:class:`LatencyHistogram`'s ``record`` is a ``bisect`` over the fixed
+1-2-5 bucket ladder.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, Set
 
 __all__ = [
     "Counter",
@@ -187,9 +186,6 @@ class MetricsRegistry:
     def distinct_count(self, name: str) -> int:
         metric = self._distincts.get(name)
         return metric.count if metric else 0
-
-    def histogram_names(self) -> List[str]:
-        return sorted(self._histograms)
 
     # -- serialization / merge -------------------------------------------------
 

@@ -10,7 +10,7 @@ airplane mode with/without WiFi, location service).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.android.apk import Apk
@@ -138,9 +138,6 @@ class Device:
     def now_ms(self) -> int:
         return self.config.system_time_ms
 
-    def advance_time(self, delta_ms: int) -> None:
-        self.config.system_time_ms += delta_ms
-
     def is_online(self) -> bool:
         """Connectivity: airplane mode kills everything unless WiFi is re-enabled."""
         if self.config.airplane_mode:
@@ -209,9 +206,6 @@ class Device:
 
     def app(self, package: str) -> Optional[InstalledApp]:
         return self.installed.get(package)
-
-    def clone_config(self) -> DeviceConfig:
-        return replace(self.config, accounts=list(self.config.accounts))
 
     # -- incoming events -----------------------------------------------------------
 

@@ -177,7 +177,3 @@ class Instrumentation:
             self.blocked_ops.append(BlockedFileOp(op=op, path=path, app_package=app_package))
             return True
         return False
-
-    def release_path(self, path: str) -> None:
-        """Stop protecting a path once its contents have been dumped."""
-        self.protected_paths.discard(path)

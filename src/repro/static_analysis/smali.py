@@ -66,14 +66,6 @@ class SmaliProgram:
             for fld in cls.fields:
                 yield "field", fld.name
 
-    def references_package(self, package_prefix: str) -> bool:
-        """Whether any invoke targets a class under ``package_prefix``."""
-        prefix = package_prefix + "."
-        return any(
-            ref.class_name.startswith(prefix) or ref.class_name == package_prefix
-            for ref in self.invoked_refs()
-        )
-
     # -- rendering ---------------------------------------------------------------
 
     def render_smali(self, class_name: Optional[str] = None) -> str:

@@ -29,6 +29,7 @@ from repro.evolution import (
     run_evolution,
     run_lineage_shard,
 )
+from repro.evolution.lineage import plan_lineage
 from repro.static_analysis.malware.droidnative import Detection
 from repro.static_analysis.prefilter import PrefilterResult
 from tests.helpers import dying_shard
@@ -121,6 +122,14 @@ class TestLineagePlanning:
             assert [v.mutations for v in a.versions] == [
                 v.mutations for v in b.versions
             ]
+
+    def test_one_app_plans_alone_as_in_its_corpus(self):
+        spec = LineageSpec(malicious_hazard=0.4)
+        plans = plan_lineages(N_APPS, N_VERSIONS, seed=SEED, spec=spec)
+        blueprints = CorpusGenerator(seed=SEED).sample_blueprints(N_APPS)
+        for blueprint in reversed(blueprints):
+            alone = plan_lineage(blueprint, N_VERSIONS, SEED, spec)
+            assert alone == plans[blueprint.index]
 
     def test_built_apks_are_byte_identical_across_independent_runs(self):
         def digests():

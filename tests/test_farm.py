@@ -279,10 +279,11 @@ class TestVerdictCacheBound:
     def test_pipeline_caches_are_bounded(self):
         config = DyDroidConfig(run_malware=False, verdict_cache_capacity=3)
         dydroid = DyDroid(config)
+        caches = dydroid._verdict_caches
         for digest in "abcdef":
-            dydroid._privacy_cache[digest] = ()
-        assert len(dydroid._privacy_cache) == 3
-        assert dydroid._detection_cache.capacity == 3
+            caches["privacy"][digest] = ()
+        assert len(caches["privacy"]) == 3
+        assert caches["detection"].capacity == 3
 
 
 class TestFarmCli:

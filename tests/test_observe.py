@@ -411,29 +411,7 @@ class TestObserveCli:
 
 
 class TestLatencyHistogramDeprecation:
-    """The farm-side re-export now warns; the observe-side home does not."""
-
-    def test_farm_metrics_import_warns(self):
-        import repro.farm.metrics as farm_metrics
-        from repro.observe.metrics import LatencyHistogram as canonical
-
-        # The warning must hand the reader the exact replacement import
-        # and the release the shim disappears in.
-        with pytest.warns(
-            DeprecationWarning,
-            match="from repro.observe.metrics import LatencyHistogram",
-        ) as captured:
-            relocated = farm_metrics.LatencyHistogram
-        assert relocated is canonical
-        assert "removed in repro 2.0" in str(captured[0].message)
-
-    def test_farm_package_import_warns(self):
-        import repro.farm as farm
-        from repro.observe.metrics import LatencyHistogram as canonical
-
-        with pytest.warns(DeprecationWarning, match="repro.observe.metrics"):
-            relocated = farm.LatencyHistogram
-        assert relocated is canonical
+    """The farm-side re-export is gone; the observe-side home does not warn."""
 
     def test_unknown_attribute_still_raises(self):
         import repro.farm as farm

@@ -197,12 +197,31 @@ class TestPipelineUnits:
         assert analysis.malicious_payloads()
         assert analysis.replay_loaded == {}
 
+    def test_replays_are_traced(self):
+        from repro.observe import Tracer
+
+        corpus = generate_corpus(400, seed=33)
+        target = next(r for r in corpus if r.blueprint.malware_family)
+        config = DyDroidConfig(train_samples_per_family=2)
+        tracer = Tracer()
+        analysis = DyDroid(config, tracer=tracer).analyze_app(target)
+        assert analysis.malicious_payloads()
+        spans = tracer.to_dicts()
+        (replay,) = [s for s in spans if s["name"] == "replay"]
+        sessions = [
+            s for s in spans
+            if s["name"] == "engine.session" and s["parent_id"] == replay["span_id"]
+        ]
+        assert [s["attrs"]["environment"] for s in sessions] == [
+            env.name for env in config.replay_configs
+        ]
+
     def test_detection_cache_hits(self):
         corpus = generate_corpus(400, seed=33)
         dydroid = DyDroid(DyDroidConfig(train_samples_per_family=2))
         target = next(r for r in corpus if r.blueprint.uses_google_ads)
         dydroid.analyze_app(target)
-        assert dydroid._detection_cache  # payload verdicts were cached
+        assert dydroid._verdict_caches["detection"]  # payload verdicts were cached
 
 
 class TestTypeAnnotations:
@@ -255,7 +274,8 @@ class TestLruCacheBehaviour:
         assert cache["a"] == 10
         assert "b" not in cache
 
-    def test_cache_hit_miss_counters_on_reanalysis(self):
+    @pytest.mark.parametrize("kind", ["detection", "privacy"])
+    def test_cache_hit_miss_counters_on_reanalysis(self, kind):
         from repro.observe import MetricsRegistry
 
         corpus = generate_corpus(400, seed=33)
@@ -266,11 +286,11 @@ class TestLruCacheBehaviour:
             metrics=registry,
         )
         dydroid.analyze_app(target)
-        lookups = registry.counter_value("cache.detection.lookups")
-        misses = registry.counter_value("cache.detection.miss")
+        lookups = registry.counter_value("cache.{}.lookups".format(kind))
+        misses = registry.counter_value("cache.{}.miss".format(kind))
         assert lookups >= 1 and misses >= 1
         # Same app again: every digest is now cached.
         dydroid.analyze_app(target)
-        assert registry.counter_value("cache.detection.lookups") == 2 * lookups
-        assert registry.counter_value("cache.detection.miss") == misses
-        assert registry.counter_value("cache.detection.hit") == lookups
+        assert registry.counter_value("cache.{}.lookups".format(kind)) == 2 * lookups
+        assert registry.counter_value("cache.{}.miss".format(kind)) == misses
+        assert registry.counter_value("cache.{}.hit".format(kind)) == lookups

@@ -452,20 +452,41 @@ class TestStoreCli:
         capsys.readouterr()
 
     def test_farm_cli_accepts_verdict_store(self, tmp_path, capsys):
+        """Two worker processes into a cold store, then a warm rerun."""
         store = tmp_path / "verdicts.jsonl"
-        metrics = tmp_path / "metrics.json"
+        checkpoint = tmp_path / "farm.jsonl"
+        trace = tmp_path / "farm-trace.json"
+        cold_path, warm_path = tmp_path / "metrics.json", tmp_path / "warm.json"
         argv = [
-            "farm", "run", "--apps", "12", "--seed", str(SEED),
-            "--workers", "1", "--shards", "3", "--train", "2",
-            "--no-replays", "--table", "2",
-            "--verdict-store", str(store), "--metrics-out", str(metrics),
+            "farm", "run", "--apps", "24", "--seed", "7",
+            "--workers", "2", "--shards", "4", "--train", "2",
+            "--no-replays", "--table", "2", "--verdict-store", str(store),
         ]
-        assert main(argv) == 0
+        assert main(argv + [
+            "--checkpoint", str(checkpoint), "--metrics-out", str(cold_path),
+            "--trace-out", str(trace), "--trace-format", "chrome",
+        ]) == 0
         capsys.readouterr()
-        assert main(argv) == 0
+        cold = json.loads(cold_path.read_text())
+        assert cold["apps_analyzed"] == 24
+        assert cold["apps_quarantined"] == 0
+        # Cold store: every distinct payload digest missed at least once
+        # (parallel shards may race on a shared digest, never under-count).
+        store_misses = cold["verdict_store"]["detection"]["misses"]
+        assert store_misses >= cold["verdict_cache"]["detection"]["misses"] > 0
+        assert len(checkpoint.read_text().splitlines()) == 1 + 24
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert events
+        for event in events:
+            assert event["ph"] == "X" and event["name"], event
+            assert "ts" in event and "dur" in event, event
+
+        assert main(argv + ["--metrics-out", str(warm_path)]) == 0
         capsys.readouterr()
-        summary = json.loads(metrics.read_text())["verdict_store"]
-        assert summary["detection"]["misses"] == 0
+        warm = json.loads(warm_path.read_text())["verdict_store"]
+        for kind in ("detection", "privacy"):
+            assert warm[kind]["misses"] == 0, warm
+            assert warm[kind]["hits"] > 0, warm
 
     def test_store_compact_cli(self, tmp_path, capsys):
         path = tmp_path / "verdicts.jsonl"

@@ -323,6 +323,24 @@ class TestGate:
         for kind, count in gated_counts.items():
             assert count <= base_counts.get(kind, 0)
 
+    def test_lru_never_poisoned_by_triage(self, gated_run, eval_corpus, model):
+        """A stand-in verdict is not cached either: the same decided app
+        analyzed twice without a store is triaged both times."""
+        _, path = model
+        gated_analyses = gated_run[0]
+        record = next(
+            record
+            for record, analysis in zip(eval_corpus, gated_analyses)
+            if analysis.verdict_source == "triage"
+        )
+        registry = MetricsRegistry()
+        pipeline = DyDroid(pipeline_config(triage_model=path), metrics=registry)
+        first, second = pipeline.analyze_app(record), pipeline.analyze_app(record)
+        assert first.verdict_source == second.verdict_source == "triage"
+        for kind in ("detection", "privacy"):
+            assert registry.counter_value("cache.{}.lookups".format(kind)) > 0
+            assert registry.counter_value("cache.{}.hit".format(kind)) == 0
+
     def test_warm_store_overrides_triage(self, gated_run, eval_corpus, model):
         """Stored tier-1 verdicts win over the gate on a second pass."""
         _, path = model

@@ -6,7 +6,8 @@ of a workload under counting patches and pins how often the work itself
 runs -- a memo hit counts nothing:
 
 - blueprint sampling passes (``CorpusGenerator._sample``);
-- DroidNative trainings (``families.training_corpus``).
+- DroidNative trainings (``families.training_corpus``);
+- lineage version steps planned (``lineage._mutate``).
 
 Every check starts from empty process-wide memos, so it counts what one
 fresh process would do.
@@ -17,6 +18,7 @@ import threading
 import pytest
 
 import repro.corpus.generator as generator_module
+import repro.evolution.lineage as lineage_module
 import repro.static_analysis.malware.droidnative as droidnative_module
 from repro.core.config import DyDroidConfig
 from repro.core.pipeline import DyDroid
@@ -95,9 +97,19 @@ def test_every_pipeline_of_one_config_shares_one_training(counts):
     assert counts["trainings"] == 2
 
 
-def test_evolution_trains_once_and_samples_once(counts):
+def test_evolution_trains_once_and_samples_once(counts, monkeypatch):
+    mutations = []
+    mutate = lineage_module._mutate
+
+    def counting_mutate(*args):
+        mutations.append(None)
+        return mutate(*args)
+
+    monkeypatch.setattr(lineage_module, "_mutate", counting_mutate)
     result = run_evolution(
         EvolveConfig(n_apps=10, n_versions=4, seed=3, workers=1, pipeline=pipeline_config())
     )
     assert result.metrics["snapshots_analyzed"] == 40
     assert counts == {"sampling_passes": 1, "trainings": 1}
+    # Each shard plans only its own apps: 40 snapshots x 3 later versions.
+    assert len(mutations) == 120
